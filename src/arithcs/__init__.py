@@ -15,7 +15,6 @@ from .zmod import (
     howell_form,
     left_kernel,
     right_kernel,
-    smith_normal_form,
     solve_linear,
 )
 from .groups import (

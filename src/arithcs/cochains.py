@@ -336,10 +336,10 @@ def classify(f: Cochain, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> Classificat
 class CohomologyGroup:
     """H^i(G, M) with invariant factors, generating cocycles, and coordinates.
 
-    Coordinates are computed through a fixed Hermite basis of the cocycle
-    lattice followed by the Smith transform of the coboundary relations, so
-    they are zero exactly on coboundaries and the published generators map to
-    the standard basis vectors.
+    Coordinates are computed through a fixed triangular basis of the cocycle
+    lattice followed by the column transform that diagonalizes the
+    coboundary relations mod n, so they are zero exactly on coboundaries and
+    the published generators map to the standard basis vectors.
     """
 
     def __init__(self, coeffs, degree, invariant_factors, generators, basis, v_rows, diag, kept):
@@ -347,8 +347,8 @@ class CohomologyGroup:
         self.degree = degree
         self.invariant_factors = invariant_factors
         self.generators = generators
-        self._basis = basis    # Hermite basis of the cocycle lattice (python ints)
-        self._v_rows = v_rows  # the V transform of the Smith form of the relations
+        self._basis = basis    # triangular basis of the cocycle lattice (lattice_basis)
+        self._v_rows = v_rows  # column transform v of diagonalize_mod on the relations
         self._diag = diag
         self._kept = kept
 
@@ -381,9 +381,11 @@ class CohomologyGroup:
 def cohomology(coeffs: GModuleAction, degree: int, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> CohomologyGroup:
     """Compute H^degree(G, M) = ker d / im d by canonical forms.
 
-    Kernel generators come from the Howell-form right kernel over Z/n; the
-    quotient structure comes from the Smith normal form of the coboundary
-    lattice written in a Hermite basis of the cocycle lattice.
+    Kernel generators come from the Howell-form right kernel over Z/n, and
+    ``lattice_basis`` turns them into a triangular basis of the cocycle
+    lattice.  ``diagonalize_mod`` of the coboundary relations written in that
+    basis gives the invariant factors, the column transform behind
+    ``coordinates``, and the inverse transform that yields the generators.
     """
     if degree + 1 > degree_cap:
         raise DegreeBoundError(f"cohomology in degree {degree} needs d up to {degree + 1} > cap {degree_cap}")

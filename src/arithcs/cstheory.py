@@ -37,7 +37,7 @@ from .cochains import (
 )
 from .groups import FiniteGroup, GModuleAction, GroupHom, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
-from .zmod import MAX_MODULUS, MatZn, ModuleOverZn, solve_linear
+from .zmod import MAX_MODULUS, MatZn, ModuleOverZn, NotDivisibleError, solve_linear
 
 
 class NotInGeneratedSummandError(ValueError):
@@ -506,7 +506,10 @@ def unramified_trivialization(datum: GlobalDatum, place: PlaceDatum, rho: GroupH
             )
     c_q = pullback(rho_bar, datum.three_cocycle)
     b_bar = solve_differential(qcoeffs, 2, c_q)
-    assert b_bar is not None  # guaranteed by H^3 = 0
+    if b_bar is None:  # H^3 = 0 makes every 3-cocycle a coboundary
+        raise NotUnramifiedTrivializableError(
+            "the pulled-back 3-cocycle is not a coboundary on the inertia-free quotient"
+        )
     return pullback(proj, b_bar)
 
 
@@ -647,9 +650,12 @@ def kummer_trivialization(f: GroupHom, lift: GroupHom | str = "auto") -> tuple[C
         if ((lift.map % m) != f.map).any():
             raise ValueError("lift does not reduce to f")
     diff = (f.map - lift.map) % (m * m)
-    assert not (diff % m).any()
+    if (diff % m).any():
+        raise NotDivisibleError(f"s o f - f~ is not divisible by {m}")
     b = Cochain(coeffs, 1, (diff // m).reshape(-1, 1))
-    assert differential(b) == carry_pull
+    if differential(b) != carry_pull:
+        raise NoLiftError("d(b) != f*(carry): the lift is not a homomorphism lifting f")
     t = -cup(pullback(f, identity_character(m)), b)
-    assert differential(t) == pullback(f, cyclic_three_cocycle(m))
+    if differential(t) != pullback(f, cyclic_three_cocycle(m)):
+        raise NoLiftError("d(t) != f*(alpha cup delta alpha) for the trivialization from the lift")
     return b, t

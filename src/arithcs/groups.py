@@ -389,8 +389,3 @@ class GModuleAction:
         exps = hom.map
         units = np.array([pow(int(unit), int(e), module.modulus) for e in exps])
         return cls(hom.dom, module, units[:, None, None] * np.eye(module.rank, dtype=np.int64)[None])
-
-
-def negation_action(group: FiniteGroup, module: ModuleOverZn, index2_hom: GroupHom) -> GModuleAction:
-    """Nontrivial action through a surjection onto Z/2: g acts by (-1)^hom(g)."""
-    return GModuleAction.by_character(index2_hom, module, module.modulus - 1)

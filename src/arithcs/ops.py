@@ -24,15 +24,11 @@ import numpy as np
 
 from .cochains import Cochain, DegreeBoundError, _digits, decode_index, differential
 from .groups import GModuleAction
-from .zmod import MAX_MODULUS, ModuleOverZn
+from .zmod import MAX_MODULUS, ModuleOverZn, NotDivisibleError
 
 
 class IncompatiblePairingError(ValueError):
     """Cup factors whose coefficients admit no canonical pairing."""
-
-
-class NotDivisibleError(ArithmeticError):
-    """Bockstein numerator not divisible by n; the input was not a cocycle."""
 
 
 def _is_scalar(f: Cochain) -> bool:

@@ -1,13 +1,14 @@
 """Exact linear algebra over Z/n.
 
 Everything downstream (cocycle membership, trivialization solving, cohomology
-group structure) reduces to three primitives implemented here: the Howell
-normal form of a matrix over Z/n, linear solving with complete kernels, and
-the Smith normal form of an integer matrix.  Howell form is used instead of
-a lifted Smith form wherever membership in a row space has to be decided,
-because Z/n is not a field and Howell form is the unique canonical row form
-for Z/n-row spaces.  All arithmetic is exact; there is no floating point in
-this package.
+group structure) reduces to two elimination routines implemented here.  The
+row Howell form with its transform and left kernel serves ``howell_form``,
+the kernels, ``solve_linear`` and ``lattice_basis``.  Howell form is the
+unique canonical row form for Z/n-row spaces (Z/n is not a field), so it is
+used wherever membership in a row space has to be decided.  The two-sided
+invariant-factor diagonalization ``diagonalize_mod`` of a lattice containing
+n*Z^w gives ``cohomology`` its invariant factors, generators and coordinates.
+All arithmetic is exact; there is no floating point in this package.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ from math import gcd
 import numpy as np
 
 MAX_MODULUS = 1 << 16
+
+
+class NotDivisibleError(ArithmeticError):
+    """An exact division over Z/n is impossible.
+
+    Raised by the Bockstein when the numerator is not divisible by n (the
+    input was not a cocycle), and by checks of divisibility identities.
+    """
 
 
 def _check_modulus(n: int) -> int:
@@ -162,10 +171,10 @@ def unit_lift(a: int, n: int) -> int:
     b, m = a // g, n // g
     u = pow(b, -1, m) if m > 1 else 1
     # some lift u + k*m, 0 <= k < g, is coprime to n
-    while gcd(u, n) != 1:
-        u += m
-    assert u < n
-    return u
+    for lift in range(u, n, m):
+        if gcd(lift, n) == 1:
+            return lift
+    raise NotDivisibleError(f"no unit u of Z/{n} with u*{a} == {g}")
 
 
 def annihilator(a: int, n: int) -> int:
@@ -177,11 +186,19 @@ def _howell_rows(mat: np.ndarray, n: int):
     """Howell form of the row space of ``mat`` over Z/n.
 
     Returns (h, u, k): h is the Howell form without zero rows, u @ mat == h,
-    and the rows of k generate the left kernel {x : x @ mat == 0}.
+    and the rows of k generate the left kernel {x : x @ mat == 0}.  Each
+    working row is [mat[i] | e_i], so one row operation updates the row and
+    its transform together; h and u are the two column blocks at the end.
     """
     nrows, ncols = mat.shape
-    rows = [mat[i].astype(np.int64) % n for i in range(nrows)]
-    trans = [np.eye(1, nrows, i, dtype=np.int64).ravel() for i in range(nrows)]
+    # one array per row: row views into a shared [mat | I] buffer would keep
+    # the whole buffer alive until the last of them is replaced
+    rows = []
+    for i in range(nrows):
+        row = np.zeros(ncols + nrows, dtype=np.int64)
+        row[:ncols] = mat[i] % n
+        row[ncols + i] = 1
+        rows.append(row)
     r = 0
     for c in range(ncols):
         pivot = next((j for j in range(r, len(rows)) if rows[j][c]), None)
@@ -189,42 +206,32 @@ def _howell_rows(mat: np.ndarray, n: int):
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            trans[r], trans[pivot] = trans[pivot], trans[r]
         for i in range(r + 1, len(rows)):
             if rows[i][c]:
                 a, b = int(rows[r][c]), int(rows[i][c])
                 if b % a == 0:
-                    q = b // a
-                    rows[i] = (rows[i] - q * rows[r]) % n
-                    trans[i] = (trans[i] - q * trans[r]) % n
+                    rows[i] = (rows[i] - (b // a) * rows[r]) % n
                 else:
                     g, x, y = _xgcd(a, b)
                     rows[r], rows[i] = (
                         (x * rows[r] + y * rows[i]) % n,
                         ((-(b // g)) * rows[r] + (a // g) * rows[i]) % n,
                     )
-                    trans[r], trans[i] = (
-                        (x * trans[r] + y * trans[i]) % n,
-                        ((-(b // g)) * trans[r] + (a // g) * trans[i]) % n,
-                    )
         u = unit_lift(int(rows[r][c]), n)
         if u != 1:
             rows[r] = (u * rows[r]) % n
-            trans[r] = (u * trans[r]) % n
         p = int(rows[r][c])
         for i in range(r):
             q = int(rows[i][c]) // p
             if q:
                 rows[i] = (rows[i] - q * rows[r]) % n
-                trans[i] = (trans[i] - q * trans[r]) % n
         t = annihilator(p, n)
         if t:
             rows.append((t * rows[r]) % n)
-            trans.append((t * trans[r]) % n)
         r += 1
-    h = np.array(rows[:r], dtype=np.int64).reshape(r, ncols)
-    u = np.array(trans[:r], dtype=np.int64).reshape(r, nrows)
-    kernel = [t for row, t in zip(rows[r:], trans[r:]) if t.any()]
+    h = np.array([row[:ncols] for row in rows[:r]], dtype=np.int64).reshape(r, ncols)
+    u = np.array([row[ncols:] for row in rows[:r]], dtype=np.int64).reshape(r, nrows)
+    kernel = [row[ncols:] for row in rows[r:] if row[ncols:].any()]
     k = np.array(kernel, dtype=np.int64).reshape(len(kernel), nrows)
     return h, u, k
 
@@ -248,11 +255,6 @@ def left_kernel(m: MatZn) -> MatZn:
 def right_kernel(m: MatZn) -> MatZn:
     """Rows generating {x : m @ x == 0} over Z/n."""
     return left_kernel(m.transpose())
-
-
-def row_space_contains(m: MatZn, vec) -> bool:
-    h, _, _ = _howell_rows(m.a, m.modulus)
-    return _reduce_against(h, np.asarray(vec, dtype=np.int64) % m.modulus, m.modulus)[1]
 
 
 def _reduce_against(h: np.ndarray, vec: np.ndarray, n: int):
@@ -302,8 +304,8 @@ def solve_linear(a: MatZn, b) -> LinearSolution | None:
 # ---------------------------------------------------------------------------
 # Lattices that contain n*Z^w.  For these, every generator entry can be
 # reduced mod n at any time (adding multiples of the n*e_j generators), so
-# basis extraction, membership coordinates, and Smith-style diagonalization
-# all run vectorized with entries in [0, n).
+# basis extraction, membership coordinates, and invariant-factor
+# diagonalization all run vectorized with entries in [0, n).
 
 
 def lattice_basis(rows: np.ndarray | list, width: int, n: int) -> np.ndarray:
@@ -411,13 +413,13 @@ def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarr
 
     for k in range(min(m, width)):
         while True:
+            # smallest nonzero entry of the trailing block, first in row-major order
             sub = a[k:, k:]
-            nz = np.argwhere(sub)
-            if nz.size == 0:
+            masked = np.where(sub == 0, n, sub)
+            i, j = divmod(int(masked.argmin()), masked.shape[1])
+            if masked[i, j] == n:
                 break
-            vals = sub[nz[:, 0], nz[:, 1]]
-            best = int(np.lexsort((nz[:, 1], nz[:, 0], vals))[0])
-            i, j = int(nz[best, 0]) + k, int(nz[best, 1]) + k
+            i, j = i + k, j + k
             if i != k:
                 a[[k, i]] = a[[i, k]]
             if j != k:
@@ -436,188 +438,5 @@ def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarr
             if bad.size == 0:
                 break
             a[k] = (a[k] + a[int(bad[0, 0]) + k + 1]) % n
-    from math import gcd as _g
-
-    factors = [_g(int(a[j, j]) if j < min(m, width) else 0, n) for j in range(width)]
+    factors = [gcd(int(a[j, j]) if j < min(m, width) else 0, n) for j in range(width)]
     return factors, v % n, w % n
-
-
-# ---------------------------------------------------------------------------
-# Integer lattice routines (Hermite and Smith forms).  These run on Python
-# ints so intermediate values can never overflow.
-
-
-def _py_matrix(mat) -> list[list[int]]:
-    if isinstance(mat, MatZn):
-        mat = mat.a
-    a = np.atleast_2d(np.asarray(mat))
-    return [[int(x) for x in row] for row in a]
-
-
-def hermite_basis(rows: list[list[int]], width: int) -> list[list[int]]:
-    """Row-style Hermite basis of the lattice spanned by ``rows`` in Z^width.
-
-    Requires the lattice to have full rank (callers include n*I, so it does).
-    Output is upper triangular with positive diagonal pivots and entries
-    above each pivot reduced into [0, pivot).
-    """
-    work = [list(r) for r in rows if any(r)]
-    r = 0
-    for c in range(width):
-        pivot = next((j for j in range(r, len(work)) if work[j][c]), None)
-        if pivot is None:
-            raise ValueError("lattice does not have full rank")
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, len(work)):
-            if work[i][c]:
-                a, b = work[r][c], work[i][c]
-                if b % a == 0:
-                    q = b // a
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    work[r], work[i] = (
-                        [x * p + y * q for p, q in zip(work[r], work[i])],
-                        [(-(b // g)) * p + (a // g) * q for p, q in zip(work[r], work[i])],
-                    )
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-        p = work[r][c]
-        for i in range(r):
-            q = work[i][c] // p
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return [row for row in work[:r]]
-
-
-def hermite_coordinates(basis: list[list[int]], vec: list[int]) -> list[int]:
-    """Integer coefficients c with c @ basis == vec; raises if vec is outside."""
-    res = list(vec)
-    coeff = []
-    for i, row in enumerate(basis):
-        p = row[i]
-        if res[i] % p:
-            raise ValueError("vector is not in the lattice")
-        q = res[i] // p
-        coeff.append(q)
-        if q:
-            res = [x - q * y for x, y in zip(res, row)]
-    if any(res):
-        raise ValueError("vector is not in the lattice")
-    return coeff
-
-
-def _smith(mat) -> tuple[list, list, list, list]:
-    """Smith normal form with transforms; also returns V^{-1}.
-
-    U @ mat @ V == D with D diagonal, d_i | d_{i+1}, and U, V unimodular.
-    """
-    A = _py_matrix(mat)
-    m, ncols = len(A), len(A[0])
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    W = [[int(i == j) for j in range(ncols)] for i in range(ncols)]  # V^{-1}
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        W[i], W[j] = W[j], W[i]
-
-    def combine_rows(i, j, x, y, z, w):
-        # rows (i, j) <- (x*i + y*j, z*i + w*j), det(x w - y z) == 1
-        A[i], A[j] = (
-            [x * p + y * q for p, q in zip(A[i], A[j])],
-            [z * p + w * q for p, q in zip(A[i], A[j])],
-        )
-        U[i], U[j] = (
-            [x * p + y * q for p, q in zip(U[i], U[j])],
-            [z * p + w * q for p, q in zip(U[i], U[j])],
-        )
-
-    def combine_cols(i, j, x, y, z, w):
-        # cols (i, j) <- (x*i + y*j, z*i + w*j); W gets the inverse row op
-        for row in A:
-            row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
-        for row in V:
-            row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
-        # inverse of [[x, z], [y, w]] acting on rows i, j of W
-        W[i], W[j] = (
-            [w * p - z * q for p, q in zip(W[i], W[j])],
-            [-y * p + x * q for p, q in zip(W[i], W[j])],
-        )
-
-    def add_row(dst, src, q):
-        A[dst] = [p + q * s for p, s in zip(A[dst], A[src])]
-        U[dst] = [p + q * s for p, s in zip(U[dst], U[src])]
-
-    for k in range(min(m, ncols)):
-        while True:
-            best = None
-            for i in range(k, m):
-                for j in range(k, ncols):
-                    if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best[0] != k:
-                swap_rows(k, best[0])
-            if best[1] != k:
-                swap_cols(k, best[1])
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    a, b = A[k][k], A[i][k]
-                    if b % a == 0:
-                        add_row(i, k, -(b // a))
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        combine_rows(k, i, x, y, -(b // g), a // g)
-            if any(A[k][j] for j in range(k + 1, ncols)):
-                for j in range(k + 1, ncols):
-                    if A[k][j]:
-                        a, b = A[k][k], A[k][j]
-                        if b % a == 0:
-                            combine_cols(k, j, 1, 0, -(b // a), 1)
-                        else:
-                            g, x, y = _xgcd(a, b)
-                            combine_cols(k, j, x, y, -(b // g), a // g)
-                continue  # column may be dirty again
-            if any(A[i][k] for i in range(k + 1, m)):
-                continue
-            d = A[k][k]
-            culprit = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, ncols):
-                    if A[i][j] % d:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            add_row(k, culprit, 1)
-        if A[k][k] < 0:
-            A[k] = [-x for x in A[k]]
-            U[k] = [-x for x in U[k]]
-    D = [[A[i][j] if i == j else 0 for j in range(ncols)] for i in range(m)]
-    return U, D, V, W
-
-
-def smith_normal_form(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smith normal form of an integer matrix: U @ mat @ V == D.
-
-    D is diagonal with d_i | d_{i+1} and U, V are unimodular (det +-1).
-    Computed in exact integer arithmetic.
-    """
-    U, D, V, _ = _smith(mat)
-    return (
-        np.array(U, dtype=np.int64),
-        np.array(D, dtype=np.int64),
-        np.array(V, dtype=np.int64),
-    )

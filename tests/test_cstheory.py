@@ -1,4 +1,9 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -456,3 +461,31 @@ def test_kummer_mod3():
     f = make_hom(cyclic(9), cyclic(3), [0, 1, 2, 0, 1, 2, 0, 1, 2])
     b, t = kummer_trivialization(f, "auto")
     assert differential(t) == pullback(f, cyclic_three_cocycle(3))
+
+
+def test_kummer_identity_check_runs_under_python_O():
+    # the identity d(b) == f*(carry) is checked by code, not by assert, so a
+    # broken differential is caught even with assertions stripped
+    script = textwrap.dedent(
+        """
+        import sys
+        from arithcs import cstheory
+        from arithcs.cochains import differential
+        from arithcs.groups import cyclic, make_hom
+
+        cstheory.differential = lambda f, **kw: 0 * differential(f, **kw)
+        f = make_hom(cyclic(4), cyclic(2), [0, 1, 0, 1])
+        lift = make_hom(cyclic(4), cyclic(4), [0, 1, 2, 3])
+        try:
+            cstheory.kummer_trivialization(f, lift)
+        except cstheory.NoLiftError as exc:
+            print(type(exc).__name__, sys.flags.optimize)
+        """
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["NoLiftError", "1"]

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -12,15 +11,11 @@ from arithcs.zmod import (
     ModuleOverZn,
     annihilator,
     diagonalize_mod,
-    hermite_basis,
-    hermite_coordinates,
     howell_form,
     lattice_basis,
     lattice_coordinates,
     left_kernel,
     right_kernel,
-    row_space_contains,
-    smith_normal_form,
     solve_linear,
     unit_lift,
 )
@@ -36,24 +31,6 @@ def brute_row_space(mat: MatZn) -> set[tuple[int, ...]]:
             v = (v + c * row) % n
         space.add(tuple(int(x) for x in v))
     return space
-
-
-def exact_det(mat) -> Fraction:
-    a = [[Fraction(int(x)) for x in row] for row in np.asarray(mat)]
-    size = len(a)
-    det = Fraction(1)
-    for k in range(size):
-        pivot = next((i for i in range(k, size) if a[i][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, size):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 def test_ring_validation():
@@ -193,12 +170,6 @@ def test_kernels_annihilate():
     assert (m.a @ rk.a.T % 6 == 0).all()
 
 
-def test_row_space_membership():
-    m = MatZn([[2, 0], [0, 2]], 4)
-    assert row_space_contains(m, [2, 2])
-    assert not row_space_contains(m, [1, 0])
-
-
 @given(
     n=st.sampled_from([2, 3, 4, 5, 6]),
     rows=st.integers(1, 3),
@@ -214,37 +185,6 @@ def test_howell_row_space_property(n, rows, cols, data):
     h, u = howell_form(m)
     assert (u.a @ m.a % n == h.a).all()
     assert brute_row_space(m) == brute_row_space(h)
-
-
-def test_smith_zero_and_identity():
-    u, d, v = smith_normal_form(np.zeros((2, 2), dtype=int))
-    assert (d == 0).all()
-    u, d, v = smith_normal_form(np.eye(3, dtype=int))
-    assert (d == np.eye(3, dtype=int)).all()
-
-
-def test_smith_diag_two_three():
-    m = np.array([[2, 0], [0, 3]])
-    u, d, v = smith_normal_form(m)
-    assert (u @ m @ v == d).all()
-    assert [d[0, 0], d[1, 1]] == [1, 6]
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_smith_properties_random(seed):
-    rng = np.random.default_rng(seed)
-    m = rng.integers(-6, 7, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-    u, d, v = smith_normal_form(m)
-    assert (u @ m @ v == d).all()
-    diag = [int(d[i, i]) for i in range(min(d.shape))]
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a and b:
-            assert b % a == 0
-        if a == 0:
-            assert b == 0
-    assert abs(exact_det(u)) == 1
-    assert abs(exact_det(v)) == 1
 
 
 def brute_span_with_n(rows, w, n) -> set:
@@ -299,18 +239,3 @@ def test_lattice_basis_and_coordinates(n):
             except ValueError:
                 member = False
             assert member == (x in span)
-
-
-def test_hermite_solve_roundtrip():
-    rows = [[2, 1, 0], [0, 3, 1], [4, 0, 0], [0, 4, 0], [0, 0, 4]]
-    basis = hermite_basis(rows, 3)
-    assert len(basis) == 3
-    for vec in rows:
-        c = hermite_coordinates(basis, vec)
-        rebuilt = [0, 0, 0]
-        for ci, row in zip(c, basis):
-            rebuilt = [x + ci * y for x, y in zip(rebuilt, row)]
-        assert rebuilt == vec
-    # first coordinates of the lattice are all even, so [1, 0, 0] is outside
-    with pytest.raises(ValueError):
-        hermite_coordinates(basis, [1, 0, 0])
