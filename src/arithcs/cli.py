@@ -5,7 +5,7 @@ outputs are canonical serialized documents or fixed-format text, so repeated
 runs with identical inputs are byte-identical.
 
 Exit codes: 0 success, 2 validation failure, 3 computation error,
-4 parse error.
+4 parse error or unreadable file.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .cstheory import (
     section_class,
     validate_global_datum,
 )
-from .groups import FiniteGroup, GroupHom, NotAGroupError, NotAHomError
+from .groups import FiniteGroup, GroupHom
 from .ops import IncompatiblePairingError, NotDivisibleError, bockstein, conjugate, cup, homotopy
 from .verify import run_verification
 
@@ -235,15 +235,15 @@ def main(argv=None) -> int:
     except dataio.ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (dataio.ValidationError, NotAGroupError, NotAHomError) as exc:
-        print(f"error: {type(exc).__name__.removesuffix('Error')}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _COMPUTATION_ERRORS as exc:
         print(f"error: {type(exc).__name__.removesuffix('Error')}: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {type(exc).__name__.removesuffix('Error')}: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ValueError as exc:  # a rejected input: ValidationError, NotAGroupError, NotAHomError, ...
+        print(f"error: {type(exc).__name__.removesuffix('Error')}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

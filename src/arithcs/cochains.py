@@ -16,6 +16,7 @@ throughout this package.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,26 @@ def _encode(parts, m: int, count: int) -> np.ndarray:
     """Flat index of tuples given per-position digit arrays (or constants)."""
     idx = np.zeros(count, dtype=np.int64)
     for p in parts:
-        idx = idx * m + p
+        idx *= m
+        idx += p
     return idx
+
+
+def _faces(group: FiniteGroup, i: int):
+    """Yield (sign, index) for each of the i+2 faces of d: C^i -> C^{i+1}.
+
+    ``index[t]`` is the flat C^i index that the face reads for the (i+1)-tuple
+    t.  Face 0 comes first, and its values must still be acted on by the first
+    digit of t.  Each index is built only when the next face is requested.
+    """
+    m = group.order
+    count = m ** (i + 1)
+    digits = _digits(m, i + 1)
+    yield 1, _encode(digits[1:], m, count)
+    for k in range(1, i + 1):
+        parts = itertools.chain(digits[: k - 1], [group.mul[digits[k - 1], digits[k]]], digits[k + 1 :])
+        yield (-1) ** k, _encode(parts, m, count)
+    yield (-1) ** (i + 1), _encode(digits[:i], m, count)
 
 
 def decode_index(idx: int, m: int, i: int) -> tuple[int, ...]:
@@ -165,17 +184,12 @@ def differential(f: Cochain, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> Cochain
     i = f.degree
     if i + 1 > degree_cap:
         raise DegreeBoundError(f"differential output degree {i + 1} exceeds cap {degree_cap}")
-    m = f.group.order
-    r = f.module.rank
-    count = m ** (i + 1)
-    digits = _digits(m, i + 1)
-    mul = f.group.mul
-    acc = _act_batch(f.coeffs, digits[0], f.values[_encode(digits[1:], m, count)]).astype(np.int64)
-    for k in range(1, i + 1):
-        merged = mul[digits[k - 1], digits[k]]
-        parts = list(digits[: k - 1]) + [merged] + list(digits[k + 1 :])
-        acc += (-1) ** k * f.values[_encode(parts, m, count)]
-    acc += (-1) ** (i + 1) * f.values[_encode(digits[:i], m, count)]
+    faces = _faces(f.group, i)
+    first = _digits(f.group.order, i + 1)[0]
+    acc = _act_batch(f.coeffs, first, f.values[next(faces)[1]]).astype(np.int64)
+    for sign, idx in faces:
+        acc += sign * f.values[idx]
+        del idx  # free this face's index before the next one is built
     return Cochain(f.coeffs, i + 1, acc)
 
 
@@ -184,15 +198,9 @@ def pullback(rho: GroupHom, f: Cochain) -> Cochain:
     if rho.cod != f.group:
         raise ValueError("pullback target group does not match the cochain's group")
     induced = GModuleAction(rho.dom, f.module, f.coeffs.matrices[rho.map])
-    m_dom = rho.dom.order
-    m_cod = f.group.order
+    m = rho.dom.order
     i = f.degree
-    count = m_dom**i
-    digits = _digits(m_dom, i)
-    mapped = [rho.map[d] for d in digits]
-    idx = np.zeros(count, dtype=np.int64)
-    for p in mapped:
-        idx = idx * m_cod + p
+    idx = _encode((rho.map[d] for d in _digits(m, i)), f.group.order, m**i)
     return Cochain(induced, i, f.values[idx])
 
 
@@ -200,38 +208,25 @@ def pullback(rho: GroupHom, f: Cochain) -> Cochain:
 # The differential as an explicit matrix, and solving d x = target.
 
 
-@functools.lru_cache(maxsize=None)
-def differential_matrix(coeffs: GModuleAction, i: int) -> np.ndarray:
-    """Matrix of d: C^i -> C^{i+1} on flattened coordinates, entries in [0, n)."""
+def _differential_matrix(coeffs: GModuleAction, i: int) -> np.ndarray:
+    """Matrix of d: C^i -> C^{i+1} on flattened coordinates, entries in [0, n).
+
+    Uncached: ``_scaled_differential`` keeps the one cached copy.
+    """
     m = coeffs.group.order
     r = coeffs.module.rank
-    n = coeffs.modulus
-    rows = m ** (i + 1) * r
-    cols = m**i * r
-    out = np.zeros((rows, cols), dtype=np.int64)
     count = m ** (i + 1)
-    digits = _digits(m, i + 1)
-    tuples = np.arange(count, dtype=np.int64)
-    first = _encode(digits[1:], m, count)
-    if coeffs.is_trivial():
-        for u in range(r):
-            np.add.at(out, (tuples * r + u, first * r + u), 1)
-    else:
-        mats = coeffs.matrices[digits[0]]
-        for u in range(r):
-            for v in range(r):
-                np.add.at(out, (tuples * r + u, first * r + v), mats[:, u, v])
-    mul = coeffs.group.mul
-    for k in range(1, i + 1):
-        merged = mul[digits[k - 1], digits[k]]
-        parts = list(digits[: k - 1]) + [merged] + list(digits[k + 1 :])
-        idx = _encode(parts, m, count)
-        for u in range(r):
-            np.add.at(out, (tuples * r + u, idx * r + u), (-1) ** k)
-    last = _encode(digits[:i], m, count)
-    for u in range(r):
-        np.add.at(out, (tuples * r + u, last * r + u), (-1) ** (i + 1))
-    return _freeze(out % n)
+    out = np.zeros((count, r, m**i, r), dtype=np.int64)
+    rows = np.arange(count, dtype=np.int64)
+    faces = _faces(coeffs.group, i)
+    out[rows, :, next(faces)[1], :] = coeffs.matrices[_digits(m, i + 1)[0]]
+    eye = np.eye(r, dtype=np.int64)
+    # within one face each row has one column block, so += never collides
+    for sign, idx in faces:
+        out[rows, :, idx, :] += sign * eye
+        del idx
+    out %= coeffs.modulus
+    return out.reshape(count * r, m**i * r)
 
 
 def _row_scales(coeffs: GModuleAction, degree: int) -> np.ndarray:
@@ -247,11 +242,13 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> MatZn:
     """d as a Z/n matrix whose kernel/image encode the mixed-order module exactly.
 
     Row s is multiplied by n / order(s), so congruence mod n in each row is
-    congruence mod the coordinate's cyclic order.
+    congruence mod the coordinate's cyclic order.  This is the only cached
+    dense copy of d: ``solve_differential``, ``cohomology`` (for its kernel),
+    ``normalized_representative`` and the local invariants all reuse it.
     """
-    d = differential_matrix(coeffs, i)
-    scales = _row_scales(coeffs, i + 1)
-    return MatZn(d * scales[:, None], coeffs.modulus)
+    d = _differential_matrix(coeffs, i)
+    d *= _row_scales(coeffs, i + 1)[:, None]
+    return MatZn(d, coeffs.modulus)
 
 
 def solve_differential(
@@ -387,6 +384,8 @@ def cohomology(coeffs: GModuleAction, degree: int, *, degree_cap: int = DEFAULT_
     basis gives the invariant factors, the column transform behind
     ``coordinates``, and the inverse transform that yields the generators.
     """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     if degree + 1 > degree_cap:
         raise DegreeBoundError(f"cohomology in degree {degree} needs d up to {degree + 1} > cap {degree_cap}")
     n = coeffs.modulus
@@ -405,7 +404,7 @@ def cohomology(coeffs: GModuleAction, degree: int, *, degree_cap: int = DEFAULT_
     # n*Z^width part contributes through the mod-n kernel of the basis
     # (coefficient vectors c with c @ basis == 0 mod n)
     if degree > 0:
-        dmat = differential_matrix(coeffs, degree - 1)
+        dmat = _differential_matrix(coeffs, degree - 1)
         b_rows = np.vstack([dmat.T % n, np.diag(orders) % n])
     else:
         b_rows = np.diag(orders) % n

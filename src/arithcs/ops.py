@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochains import Cochain, DegreeBoundError, _digits, decode_index, differential
-from .groups import GModuleAction
+from .cochains import Cochain, DegreeBoundError, _digits, _encode, decode_index, differential
+from .groups import GModuleAction, conjugation_hom
 from .zmod import MAX_MODULUS, ModuleOverZn, NotDivisibleError
 
 
@@ -60,19 +60,13 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
     p, q = x.degree, y.degree
     count = m ** (p + q)
     digits = _digits(m, p + q)
-    front = np.zeros(count, dtype=np.int64)
-    for d in digits[:p]:
-        front = front * m + d
-    back = np.zeros(count, dtype=np.int64)
-    for d in digits[p:]:
-        back = back * m + d
-    yv = y.values[back]
+    yv = y.values[_encode(digits[p:], m, count)]
     if not y.coeffs.is_trivial():
         prefix = np.zeros(count, dtype=np.int64)
         for d in digits[:p]:
             prefix = x.group.mul[prefix, d]
         yv = np.einsum("nuv,nv->nu", y.coeffs.matrices[prefix], yv)
-    return Cochain(out_coeffs, p + q, x.values[front] * yv)
+    return Cochain(out_coeffs, p + q, x.values[_encode(digits[:p], m, count)] * yv)
 
 
 def bockstein(f: Cochain) -> Cochain:
@@ -105,18 +99,12 @@ def conjugate(f: Cochain, a: int) -> Cochain:
 
     Commutes with the differential and satisfies (f^a)^b = f^{ab}.
     """
-    g = f.group
-    m = g.order
-    ainv = g.inv(a)
-    cmap = g.mul[a][g.mul[:, ainv]]
+    cmap = conjugation_hom(f.group, a).map
+    m = f.group.order
     i = f.degree
-    count = m**i
-    idx = np.zeros(count, dtype=np.int64)
-    for d in _digits(m, i):
-        idx = idx * m + cmap[d]
-    vals = f.values[idx]
+    vals = f.values[_encode((cmap[d] for d in _digits(m, i)), m, m**i)]
     if not f.coeffs.is_trivial():
-        vals = vals @ f.coeffs.matrices[ainv].T
+        vals = vals @ f.coeffs.matrices[f.group.inv(a)].T
     return Cochain(f.coeffs, i, vals)
 
 
@@ -151,22 +139,9 @@ class ShufflePath:
                 total += self.k - height
         return total
 
-    def _inversions(self) -> int:
-        # pairs (horizontal step, later vertical step)
-        total, horizontals = 0, 0
-        for s in self.steps:
-            if s == "h":
-                horizontals += 1
-            else:
-                total += horizontals
-        return total
-
     @property
     def sign(self) -> int:
-        squares = self.squares_above()
-        if __debug__:
-            assert squares == self._inversions()
-        return -1 if squares % 2 else 1
+        return -1 if self.squares_above() % 2 else 1
 
     def segments(self):
         """Yield (kind, s, t): the step kind and the coordinates it starts at."""
@@ -225,6 +200,9 @@ def homotopy(avec, f: Cochain) -> Cochain:
         raise DegreeBoundError(f"degree of f must be at least k = {k}")
     g = f.group
     m = g.order
+    for a in avec:
+        if not 0 <= a < m:
+            raise ValueError(f"element {a} out of range")
     count = m**n_out
     digits = _digits(m, n_out)
 
@@ -233,19 +211,15 @@ def homotopy(avec, f: Cochain) -> Cochain:
     prod = 0  # identity
     for t in range(1, k + 1):
         prod = g.op(avec[k - t], prod)
-        cmap = g.mul[prod][g.mul[:, g.inv(prod)]]
-        conj_maps.append(cmap)
+        conj_maps.append(conjugation_hom(g, prod).map)
 
     acc = np.zeros((count, f.module.rank), dtype=np.int64)
     for path in shuffle_paths(n_out, k):
-        idx = np.zeros(count, dtype=np.int64)
-        for kind, s, t in path.segments():
-            if kind == "v":
-                comp = g.inv(avec[k - t - 1])
-            else:
-                comp = conj_maps[t][digits[s]]
-            idx = idx * m + comp
-        acc += path.sign * f.values[idx]
+        parts = (
+            g.inv(avec[k - t - 1]) if kind == "v" else conj_maps[t][digits[s]]
+            for kind, s, t in path.segments()
+        )
+        acc += path.sign * f.values[_encode(parts, m, count)]
     return Cochain(f.coeffs, n_out, acc)
 
 

@@ -1,5 +1,7 @@
 import pathlib
 
+import pytest
+
 from arithcs import dataio
 from arithcs.cli import main
 from arithcs.fixtures import one_place_fiber_datum
@@ -122,3 +124,25 @@ def test_verify_subcommand_quick(capsys):
     code, out, _ = run(capsys, "verify", "--seed", 42)
     assert code == 0
     assert "verification passed" in out
+
+
+CARRY = ("--cochain", FIX / "carry_mod3.json")
+Z2_GROUP = ("--group", FIX / "z2_group.json")
+MALFORMED = {
+    "modulus_one": ("cohomology", *Z2_GROUP, "--modulus", 1, "--degree", 1),
+    "negative_degree": ("cohomology", *Z2_GROUP, "--modulus", 2, "--degree", -1),
+    "element_too_large": ("conjugate", *CARRY, "--element", 99),
+    "negative_element": ("conjugate", *CARRY, "--element", -1),
+    "elements_too_large": ("homotopy", *CARRY, "--elements", 7),
+    "elements_not_integers": ("homotopy", *CARRY, "--elements", "a"),
+    "mismatched_rho": ("invariant", "--datum", FIX / "toy_datum.json", "--rho", FIX / "quaternion_rho_i.json"),
+    "directory_path": ("validate", "--datum", FIX),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_request_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (2, 3, 4)
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -6,6 +6,8 @@ import pytest
 from arithcs.cochains import (
     Cochain,
     Coboundary,
+    _row_scales,
+    _scaled_differential,
     DegreeBoundError,
     NonCocycle,
     NontrivialClass,
@@ -74,6 +76,33 @@ def test_d_squared_zero(coeffs):
         for _ in range(20):
             f = Cochain.random(coeffs, degree, rng)
             assert differential(differential(f)).is_zero()
+
+
+def rank_two_action(n, block):
+    """Z/2 acting on (Z/n)^2: the generator acts by ``block``."""
+    return GModuleAction(Z2, ModuleOverZn(n, (n, n)), np.array([np.eye(2, dtype=np.int64), block]))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        *small_corpus(),
+        GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4))),
+        rank_two_action(4, [[0, 1], [1, 0]]),  # swaps the factors
+        rank_two_action(2, [[1, 1], [0, 1]]),  # not symmetric: catches a transposed block
+    ],
+    ids=lambda c: f"|G|={c.group.order},M={c.module.orders}",
+)
+def test_matrix_agrees_with_gather(coeffs):
+    n = coeffs.modulus
+    rng = np.random.default_rng(coeffs.group.order)
+    for degree in range(0, 3):
+        a = _scaled_differential(coeffs, degree).a
+        scales = _row_scales(coeffs, degree + 1)
+        for _ in range(5):
+            f = Cochain.random(coeffs, degree, rng)
+            gathered = scales * differential(f).values.reshape(-1)
+            assert np.array_equal((a @ f.values.reshape(-1)) % n, gathered % n)
 
 
 def test_degree_cap():

@@ -13,6 +13,7 @@ from arithcs.cochains import (
 )
 from arithcs.groups import (
     GModuleAction,
+    NotAHomError,
     cyclic,
     dihedral4,
     klein_four,
@@ -216,6 +217,23 @@ def test_sign_sum_is_gaussian_binomial_at_minus_one():
             assert total == 0
         else:
             assert total == math.comb((n + k) // 2, k // 2)
+
+
+def test_squares_above_is_inversion_count():
+    # inversions: pairs of a horizontal step and a later vertical step
+    for n, k in itertools.product(range(5), repeat=2):
+        for path in shuffle_paths(n, k):
+            pairs = itertools.combinations(path.steps, 2)
+            assert path.squares_above() == sum(a == "h" and b == "v" for a, b in pairs)
+
+
+def test_out_of_range_elements_are_rejected():
+    f = carry_cocycle(3)
+    for a in (-1, 3):
+        with pytest.raises(NotAHomError):
+            conjugate(f, a)
+        with pytest.raises(ValueError):
+            homotopy([a], f)
 
 
 def test_worked_grid_example_path():
