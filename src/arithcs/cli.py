@@ -29,11 +29,11 @@ from .cstheory import (
     NoLiftError,
     NotInGeneratedSummandError,
     NotUnramifiedTrivializableError,
+    _section_value,
     cs_invariant,
     cs_section,
     kummer_trivialization,
     scalar_coefficients,
-    section_class,
     validate_global_datum,
 )
 from .groups import FiniteGroup, GroupHom
@@ -138,7 +138,7 @@ def _cmd_section(args) -> int:
     section = cs_section(datum, rho, solver_seed=args.seed)
     for i, comp in enumerate(section.components):
         _emit(f"component {i}: {comp.values.reshape(-1).tolist()}")
-    _emit(f"class_at_unramified_basepoint: {section_class(datum, rho, solver_seed=args.seed)}")
+    _emit(f"class_at_unramified_basepoint: {_section_value(datum, rho, section)}")
     return EXIT_OK
 
 

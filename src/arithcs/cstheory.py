@@ -239,29 +239,16 @@ def h2_class_value(place: PlaceDatum, coords: tuple[int, ...]) -> InvariantValue
     return InvariantValue(int(sol.particular[0]) * place.inv_normalization, n)
 
 
-def _generator_order(factors: tuple[int, ...], coords: tuple[int, ...]) -> int:
-    from math import gcd, lcm
-
-    order = 1
-    for d, c in zip(factors, coords):
-        order = lcm(order, d // gcd(d, c % d))
-    return order
-
-
 def _generates_summand(factors: tuple[int, ...], coords: tuple[int, ...], n: int) -> bool:
     """Whether the class generates a cyclic direct summand of order n.
 
-    True iff the class has order n and a retraction onto it exists, i.e.
-    gcd_j(coords_j * n / d_j) is coprime to n.
+    True iff some homomorphism f onto Z/n sends the class to 1, i.e.
+    gcd_j(coords_j * n / d_j) is coprime to n; such an f retracts onto the
+    class and forces its order to be n.
     """
     from math import gcd
 
-    if _generator_order(factors, coords) != n:
-        return False
-    g = n
-    for d, c in zip(factors, coords):
-        g = gcd(g, (c % d) * (n // d))
-    return gcd(g, n) == 1
+    return gcd(n, *((c % d) * (n // d) for d, c in zip(factors, coords))) == 1
 
 
 def validate_global_datum(datum: GlobalDatum) -> ValidationReport:
@@ -393,7 +380,6 @@ class TorsorStructure:
 
     member: TorsorElement
     h2_invariant_factors: tuple[tuple[int, ...], ...]
-    h2_generator_coords: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def local_pullbacks(datum: GlobalDatum, rho: GroupHom) -> tuple[GroupHom, ...]:
@@ -410,7 +396,6 @@ def torsor_build(datum: GlobalDatum, rho_locals) -> TorsorStructure:
     rho_locals = tuple(rho_locals)
     members = []
     factors = []
-    gens = []
     for place, rho_v in zip(datum.places, rho_locals):
         if rho_v.dom != place.local_group or rho_v.cod != datum.gauge_group:
             raise ValueError("local homomorphism does not match the place")
@@ -421,10 +406,8 @@ def torsor_build(datum: GlobalDatum, rho_locals) -> TorsorStructure:
                 "the 3-cocycle pullback is not a coboundary on the local group"
             )
         members.append(x)
-        h2 = cohomology(place.h2_generator.coeffs, 2)
-        factors.append(h2.invariant_factors)
-        gens.append(tuple(h2.coordinates(g) for g in h2.generators))
-    return TorsorStructure(TorsorElement(tuple(members)), tuple(factors), tuple(gens))
+        factors.append(cohomology(place.h2_generator.coeffs, 2).invariant_factors)
+    return TorsorStructure(TorsorElement(tuple(members)), tuple(factors))
 
 
 def element_in_fiber(datum: GlobalDatum, rho_locals, x: TorsorElement) -> bool:
@@ -577,7 +560,11 @@ def section_class(datum: GlobalDatum, rho: GroupHom, *, solver_seed: int | None 
     cohomology coordinates), independently of the gluing pipeline; on data
     where both apply the two agree.
     """
-    section = cs_section(datum, rho, solver_seed=solver_seed)
+    return _section_value(datum, rho, cs_section(datum, rho, solver_seed=solver_seed))
+
+
+def _section_value(datum: GlobalDatum, rho: GroupHom, section: TorsorElement) -> InvariantValue:
+    """The pushout class of ``section`` written at the unramified basepoint."""
     base = unramified_basepoint(datum, rho)
     return pushout_value(datum, torsor_difference(datum, base, section))
 

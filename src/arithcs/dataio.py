@@ -9,9 +9,10 @@ A document is a JSON object
 where entries reference each other by name.  Serialization is deterministic
 (sorted keys, fixed list order, two-space indent), so parse(serialize(x))
 round-trips and identical inputs produce byte-identical files.  Everything
-is validated while loading: group axioms, homomorphism laws, action axioms,
-and cocycle conditions where the format declares them (place generators and
-gauge 3-cocycles).
+is validated while loading: integer fields (JSON integers inside int64;
+never a bool, float or string), group axioms, homomorphism laws, action
+axioms, and cocycle conditions where the format declares them (place
+generators and gauge 3-cocycles).
 
 Cochain values are stored flattened in lexicographic tuple order, module
 coordinates fastest; groups are stored as row-major multiplication tables
@@ -39,6 +40,7 @@ from .groups import (
 from .zmod import ModuleOverZn
 
 FORMAT_VERSION = 1
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class ParseError(ValueError):
@@ -188,6 +190,32 @@ def _require(entry: dict, key: str, name: str):
     return entry[key]
 
 
+def _ints(entry: dict, key: str, name: str | None, depth: int = 0):
+    """Field ``key`` of object ``name`` (None: the document itself), read strictly.
+
+    The field must be a JSON integer (depth 0), a list of them (depth 1) or a
+    list of such lists (depth 2), every integer inside int64.  A bool, float
+    or string, any other nesting, or a value outside int64 is a
+    ValidationError naming the object and the field.  Returns the value as
+    given.
+    """
+    owner = "the document" if name is None else f"object {name!r}"
+    if key not in entry:
+        raise ValidationError(f"{owner} is missing field {key!r}")
+    value = entry[key]
+    leaves = [value]
+    for _ in range(depth):
+        if not all(type(v) is list for v in leaves):
+            raise ValidationError(f"{owner}: field {key!r} must nest lists {depth} deep")
+        leaves = [x for v in leaves for x in v]
+    for x in leaves:
+        if type(x) is not int:  # bool is a subclass of int
+            raise ValidationError(f"{owner}: field {key!r} must hold integers, got {x!r}")
+        if not _INT64_MIN <= x <= _INT64_MAX:
+            raise ValidationError(f"{owner}: field {key!r} holds {x}, outside int64")
+    return value
+
+
 def _resolve_all(raw_objects: dict) -> dict[str, object]:
     resolved: dict[str, object] = {}
     resolving: set[str] = set()
@@ -223,29 +251,33 @@ def _resolve_all(raw_objects: dict) -> dict[str, object]:
 
 def _build(kind: str, entry: dict, name: str, resolve):
     if kind == "group":
-        order = int(_require(entry, "order", name))
-        mul = np.array(_require(entry, "mul", name), dtype=np.int64)
+        order = _ints(entry, "order", name)
+        mul = np.array(_ints(entry, "mul", name, 1), dtype=np.int64)
         if mul.size != order * order:
             raise ValidationError(f"object {name!r}: mul table must have {order * order} entries")
         return make_group(mul.reshape(order, order))
     if kind == "module":
-        return ModuleOverZn(int(_require(entry, "modulus", name)), tuple(_require(entry, "orders", name)))
+        return ModuleOverZn(_ints(entry, "modulus", name), tuple(_ints(entry, "orders", name, 1)))
     if kind == "hom":
         dom = resolve(_require(entry, "dom", name))
         cod = resolve(_require(entry, "cod", name))
-        return make_hom(dom, cod, _require(entry, "map", name))
+        return make_hom(dom, cod, _ints(entry, "map", name, 1))
     if kind == "action":
         group = resolve(_require(entry, "group", name))
         module = resolve(_require(entry, "module", name))
-        if entry.get("trivial"):
+        if "trivial" in entry:
+            if entry["trivial"] is not True:
+                raise ValidationError(f"object {name!r}: field 'trivial' must be true, got {entry['trivial']!r}")
             return GModuleAction.trivial(group, module)
-        mats = np.array(_require(entry, "matrices", name), dtype=np.int64)
+        mats = _ints(entry, "matrices", name, 2)
         r = module.rank
-        return GModuleAction(group, module, mats.reshape(group.order, r, r))
+        if len(mats) != group.order or any(len(m) != r * r for m in mats):
+            raise ValidationError(f"object {name!r}: field 'matrices' needs {group.order} lists of {r * r} integers")
+        return GModuleAction(group, module, np.array(mats, dtype=np.int64).reshape(group.order, r, r))
     if kind == "cochain":
         action = resolve(_require(entry, "action", name))
-        degree = int(_require(entry, "degree", name))
-        values = np.array(_require(entry, "values", name), dtype=np.int64)
+        degree = _ints(entry, "degree", name)
+        values = np.array(_ints(entry, "values", name, 1), dtype=np.int64)
         expected = action.group.order**degree * action.module.rank
         if values.size != expected:
             raise ValidationError(
@@ -257,16 +289,16 @@ def _build(kind: str, entry: dict, name: str, resolve):
         place = PlaceDatum(
             local_group=resolve(_require(entry, "local_group", name)),
             embedding=resolve(_require(entry, "embedding", name)),
-            inertia=tuple(_require(entry, "inertia", name)),
+            inertia=tuple(_ints(entry, "inertia", name, 1)),
             h2_generator=gen,
-            inv_normalization=int(_require(entry, "inv_normalization", name)),
+            inv_normalization=_ints(entry, "inv_normalization", name),
         )
         if not differential(gen).is_zero():
             raise ValidationError(f"object {name!r}: declared h2_generator is not a cocycle")
         return place
     if kind == "global_datum":
         datum = GlobalDatum(
-            modulus=int(_require(entry, "modulus", name)),
+            modulus=_ints(entry, "modulus", name),
             global_group=resolve(_require(entry, "global_group", name)),
             places=tuple(resolve(p) for p in _require(entry, "places", name)),
             gauge_group=resolve(_require(entry, "gauge_group", name)),
@@ -286,7 +318,7 @@ def parse(text: str) -> Document:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(payload, dict):
         raise ValidationError("top level must be a JSON object")
-    version = payload.get("format_version")
+    version = _ints(payload, "format_version", None)
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {version!r}")
     raw = payload.get("objects", {})

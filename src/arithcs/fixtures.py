@@ -16,11 +16,18 @@ where +1 and -1 normalizations actually differ.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cochains import pullback
 from .cstheory import GlobalDatum, PlaceDatum
-from .groups import GroupHom, cyclic, inclusion_hom, make_hom, s3_sign_hom, symmetric3
+from .groups import (
+    GroupHom,
+    cyclic,
+    identity_hom,
+    inclusion_hom,
+    make_hom,
+    quaternion8,
+    s3_sign_hom,
+    symmetric3,
+)
 from .ops import carry_cocycle, cyclic_three_cocycle
 
 
@@ -76,13 +83,14 @@ def toy_abelian_rho() -> GroupHom:
     return make_hom(cyclic(4), cyclic(2), [0, 1, 0, 1])
 
 
-def _identity_place_mod3(normalization: int) -> PlaceDatum:
-    z3 = cyclic(3)
+def _identity_place(n: int, normalization: int) -> PlaceDatum:
+    """An unramified place: local group Z/n mapped identically onto itself."""
+    zn = cyclic(n)
     return PlaceDatum(
-        local_group=z3,
-        embedding=GroupHom(z3, z3, np.arange(3)),
+        local_group=zn,
+        embedding=identity_hom(zn),
         inertia=(0,),
-        h2_generator=carry_cocycle(3),
+        h2_generator=carry_cocycle(n),
         inv_normalization=normalization,
     )
 
@@ -94,7 +102,7 @@ def balanced_reciprocity_datum() -> GlobalDatum:
     invariants cancel and reciprocity holds.
     """
     z3 = cyclic(3)
-    places = (_identity_place_mod3(1), _identity_place_mod3(2))
+    places = (_identity_place(3, 1), _identity_place(3, 2))
     return GlobalDatum(3, z3, places, z3, cyclic_three_cocycle(3))
 
 
@@ -105,7 +113,7 @@ def broken_reciprocity_datum() -> GlobalDatum:
     places and 1 + 1 != 0 mod 3, so validation must reject this datum.
     """
     z3 = cyclic(3)
-    places = (_identity_place_mod3(1), _identity_place_mod3(1))
+    places = (_identity_place(3, 1), _identity_place(3, 1))
     return GlobalDatum(3, z3, places, z3, cyclic_three_cocycle(3))
 
 
@@ -119,17 +127,8 @@ def quaternion_datum() -> GlobalDatum:
     trivialization of the pulled-back 3-cocycle restricts to the nonzero
     class on the center.
     """
-    from .groups import quaternion8
-
     q8 = quaternion8()
-    emb = inclusion_hom([0, 4], q8)  # the center {1, -1}
-    place = PlaceDatum(
-        local_group=emb.dom,
-        embedding=emb,
-        inertia=(0, 1),
-        h2_generator=carry_cocycle(2),
-        inv_normalization=1,
-    )
+    place = order_two_place(q8, 4)  # the center {1, -1}
     return GlobalDatum(2, q8, (place,), cyclic(2), cyclic_three_cocycle(2))
 
 
@@ -140,8 +139,6 @@ def quaternion_rho(which: str = "i") -> GroupHom:
         "j": [0, 0, 1, 1, 0, 0, 1, 1],
         "k": [0, 1, 1, 0, 0, 1, 1, 0],
     }
-    from .groups import quaternion8
-
     return make_hom(quaternion8(), cyclic(2), maps[which])
 
 
@@ -150,12 +147,6 @@ def one_place_fiber_datum() -> GlobalDatum:
 
     Not reciprocity-balanced; torsor_build does not require validation.
     """
-    z2 = cyclic(2)
-    place = PlaceDatum(
-        local_group=z2,
-        embedding=GroupHom(z2, z2, np.arange(2)),
-        inertia=(0,),
-        h2_generator=carry_cocycle(2),
-        inv_normalization=1,
-    )
+    place = _identity_place(2, 1)
+    z2 = place.local_group
     return GlobalDatum(2, z2, (place,), z2, cyclic_three_cocycle(2))

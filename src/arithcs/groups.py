@@ -88,26 +88,11 @@ class FiniteGroup:
         """Quotient by a normal subgroup; cosets ordered by minimal element."""
         if not self.is_normal(subset):
             raise NotAGroupError(f"subset {sorted(subset)} is not a normal subgroup")
-        inside = sorted(set(int(x) for x in subset))
-        seen: dict[int, int] = {}
-        cosets: list[tuple[int, ...]] = []
-        for g in self.elements():
-            if g in seen:
-                continue
-            coset = tuple(sorted(self.op(g, h) for h in inside))
-            for x in coset:
-                seen[x] = len(cosets)
-            cosets.append(coset)
-        cosets_sorted = sorted(cosets)  # identity coset contains 0, so it stays first
-        relabel = {old: new for new, old in enumerate(sorted(range(len(cosets)), key=lambda i: cosets[i]))}
-        proj = np.array([relabel[seen[g]] for g in self.elements()], dtype=np.int64)
-        k = len(cosets)
-        mul = np.zeros((k, k), dtype=np.int64)
-        for c, coset in enumerate(cosets_sorted):
-            for d, coset2 in enumerate(cosets_sorted):
-                mul[c, d] = proj[self.op(coset[0], coset2[0])]
-        quot = make_group(mul)
-        return quot, GroupHom(self, quot, proj)
+        inside = set(int(x) for x in subset)
+        coset_of = {g: tuple(sorted(self.op(g, h) for h in inside)) for g in self.elements()}
+        cosets = sorted(set(coset_of.values()))  # the identity coset contains 0, so it is first
+        quot = _table_group(cosets, lambda c, d: coset_of[self.op(c[0], d[0])])
+        return quot, GroupHom(self, quot, [cosets.index(coset_of[g]) for g in self.elements()])
 
 
 def make_group(mul_table) -> FiniteGroup:
@@ -144,6 +129,15 @@ def make_group(mul_table) -> FiniteGroup:
         a, b, c = (int(x) for x in np.argwhere(left != right)[0])
         raise NotAGroupError(f"associativity fails at witness ({a}, {b}, {c})")
     return FiniteGroup(mul.copy(), inverse)
+
+
+def _table_group(elements, op) -> FiniteGroup:
+    """The group on ``elements`` (identity first) under the law ``op``.
+
+    The list order is the element order: ``elements[i]`` becomes index i.
+    """
+    pos = {e: i for i, e in enumerate(elements)}
+    return make_group([[pos[op(a, b)] for b in elements] for a in elements])
 
 
 class GroupHom:
@@ -224,10 +218,7 @@ def inclusion_hom(sub_elements, g: FiniteGroup) -> GroupHom:
     elems = sorted(set(int(x) for x in sub_elements))
     if not g.is_subgroup(elems):
         raise NotAGroupError(f"{elems} is not a subgroup")
-    pos = {e: i for i, e in enumerate(elems)}
-    mul = np.array([[pos[g.op(a, b)] for b in elems] for a in elems], dtype=np.int64)
-    sub = make_group(mul)
-    return make_hom(sub, g, elems)
+    return make_hom(_table_group(elems, g.op), g, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +232,8 @@ def cyclic(n: int) -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Pairs (x, y) encoded as x * |b| + y."""
-    ob = b.order
-    mul = np.zeros((a.order * ob, a.order * ob), dtype=np.int64)
-    for x1 in a.elements():
-        for y1 in b.elements():
-            row = a.mul[x1][:, None] * ob + b.mul[y1][None, :]
-            mul[x1 * ob + y1] = row.reshape(-1)
-    return make_group(mul)
+    pairs = [(x, y) for x in a.elements() for y in b.elements()]
+    return _table_group(pairs, lambda p, q: (a.op(p[0], q[0]), b.op(p[1], q[1])))
 
 
 def klein_four() -> FiniteGroup:
@@ -258,12 +244,7 @@ def symmetric3() -> FiniteGroup:
     """S3 as permutations of {0,1,2} in lexicographic order, composed left-first:
     (p*q)(x) = p(q(x))."""
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    pos = {p: i for i, p in enumerate(perms)}
-    mul = [
-        [pos[tuple(p[q[x]] for x in range(3))] for q in perms]
-        for p in perms
-    ]
-    return make_group(mul)
+    return _table_group(perms, lambda p, q: tuple(p[x] for x in q))
 
 
 def s3_sign_hom(s3: FiniteGroup, target: FiniteGroup) -> GroupHom:
@@ -273,18 +254,12 @@ def s3_sign_hom(s3: FiniteGroup, target: FiniteGroup) -> GroupHom:
 
 def dihedral4() -> FiniteGroup:
     """D4, order 8: r^i s^a encoded as a*4 + i, with s r s = r^{-1}."""
-    def code(i, a):
-        return a * 4 + i
+    def law(x, y):
+        # (r^i s^a)(r^j s^b) = r^{i + (-1)^a j} s^{a+b}
+        (i, a), (j, b) = x, y
+        return (i + (-j if a else j)) % 4, (a + b) % 2
 
-    mul = np.zeros((8, 8), dtype=np.int64)
-    for i in range(4):
-        for a in range(2):
-            for j in range(4):
-                for b in range(2):
-                    # (r^i s^a)(r^j s^b) = r^{i + (-1)^a j} s^{a+b}
-                    k = (i + (j if a == 0 else -j)) % 4
-                    mul[code(i, a), code(j, b)] = code(k, (a + b) % 2)
-    return make_group(mul)
+    return _table_group([(i, a) for a in range(2) for i in range(4)], law)
 
 
 def quaternion8() -> FiniteGroup:
@@ -295,15 +270,11 @@ def quaternion8() -> FiniteGroup:
         (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
         (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
     }
-    mul = np.zeros((8, 8), dtype=np.int64)
-    for x in range(8):
-        for y in range(8):
-            sx, bx = (1 if x < 4 else -1), x % 4
-            sy, by = (1 if y < 4 else -1), y % 4
-            s, b = basis_mul[(bx, by)]
-            s *= sx * sy
-            mul[x, y] = b if s == 1 else b + 4
-    return make_group(mul)
+    def law(x, y):
+        s, b = basis_mul[(x[1], y[1])]
+        return s * x[0] * y[0], b
+
+    return _table_group([(s, b) for s in (1, -1) for b in range(4)], law)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +344,7 @@ class GModuleAction:
 
     @classmethod
     def trivial(cls, group: FiniteGroup, module: ModuleOverZn) -> "GModuleAction":
-        eye = np.eye(module.rank, dtype=np.int64)
-        return cls(group, module, np.broadcast_to(eye, (group.order, module.rank, module.rank)))
+        return cls.by_units(group, module, np.ones(group.order, dtype=np.int64))
 
     @classmethod
     def by_units(cls, group: FiniteGroup, module: ModuleOverZn, units) -> "GModuleAction":
@@ -386,6 +356,5 @@ class GModuleAction:
     @classmethod
     def by_character(cls, hom: GroupHom, module: ModuleOverZn, unit: int) -> "GModuleAction":
         """g acts as multiplication by unit**hom(g); hom targets a cyclic group."""
-        exps = hom.map
-        units = np.array([pow(int(unit), int(e), module.modulus) for e in exps])
-        return cls(hom.dom, module, units[:, None, None] * np.eye(module.rank, dtype=np.int64)[None])
+        units = [pow(int(unit), int(e), module.modulus) for e in hom.map]
+        return cls.by_units(hom.dom, module, units)

@@ -122,9 +122,6 @@ class MatZn:
     def cols(self) -> int:
         return self.a.shape[1]
 
-    def transpose(self) -> "MatZn":
-        return MatZn(self.a.T, self.modulus)
-
     def __matmul__(self, other: "MatZn") -> "MatZn":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
@@ -254,7 +251,8 @@ def left_kernel(m: MatZn) -> MatZn:
 
 def right_kernel(m: MatZn) -> MatZn:
     """Rows generating {x : m @ x == 0} over Z/n."""
-    return left_kernel(m.transpose())
+    _, _, k = _howell_rows(m.a.T, m.modulus)
+    return MatZn(k, m.modulus)
 
 
 def _reduce_against(h: np.ndarray, vec: np.ndarray, n: int):

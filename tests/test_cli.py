@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -40,6 +41,22 @@ def test_section_subcommand(capsys):
     )
     assert code == 0
     assert "class_at_unramified_basepoint: 0/2" in out
+
+
+def test_section_solves_the_global_system_once(capsys, monkeypatch):
+    from arithcs import cstheory
+
+    solves = []
+    real = cstheory.solve_differential
+
+    def spy(coeffs, degree, *args, **kwargs):
+        solves.append((coeffs.group.order, degree))
+        return real(coeffs, degree, *args, **kwargs)
+
+    monkeypatch.setattr(cstheory, "solve_differential", spy)
+    code, _, _ = run(capsys, "section", "--datum", FIX / "toy_datum.json", "--rho", FIX / "toy_rho.json")
+    assert code == 0
+    assert solves == [(4, 2), (1, 2), (1, 2)]  # one global solve, one per place on its quotient
 
 
 def test_validate_pass_and_fail(capsys):
@@ -146,3 +163,15 @@ def test_malformed_request_exit_code(capsys, argv):
     assert code in (2, 3, 4)
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_out_of_range_value_exits_2_without_traceback(capsys, tmp_path):
+    doc = json.loads((FIX / "carry_mod3.json").read_text())
+    cochain = next(v for v in doc["objects"].values() if v["type"] == "cochain")
+    cochain["values"][0] = 1e30
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", "--cochain", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Validation: ") and "Traceback" not in err

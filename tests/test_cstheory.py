@@ -18,6 +18,7 @@ from arithcs.cstheory import (
     NotInGeneratedSummandError,
     NotUnramifiedTrivializableError,
     PlaceDatum,
+    _generates_summand,
     cs_invariant,
     cs_section,
     element_in_fiber,
@@ -66,6 +67,28 @@ def test_invariant_value_arithmetic():
     assert str(a) == "3/4"
     with pytest.raises(ValueError):
         a + InvariantValue(1, 5)
+
+
+def _generates_summand_by_search(factors, coords, n):
+    """The class has order n and some f: Z/d_1 + ... -> Z/n sends it to 1."""
+    order = next(k for k in itertools.count(1) if all(k * c % d == 0 for d, c in zip(factors, coords)))
+    values = {0}  # f(class) over every f; f sends the j-th generator into (n/d_j)Z/n
+    for d, c in zip(factors, coords):
+        values = {(v + c * y) % n for v in values for y in range(0, n, n // d)}
+    return order == n and 1 in values
+
+
+def test_generates_summand_matches_search():
+    cases = 0
+    for n in range(2, 13):
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        for rank in (1, 2, 3):
+            for factors in itertools.product(divisors, repeat=rank):
+                for coords in itertools.product(*(range(d) for d in factors)):
+                    cases += 1
+                    expected = _generates_summand_by_search(factors, coords, n)
+                    assert _generates_summand(factors, coords, n) == expected, (factors, coords, n)
+    assert cases == 34287
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import pathlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,13 +13,17 @@ from arithcs.fixtures import (
     balanced_reciprocity_datum,
     broken_reciprocity_datum,
     quaternion_datum,
+    quaternion_rho,
     toy_abelian_datum,
+    toy_abelian_rho,
     toy_global_datum,
     toy_rho,
 )
-from arithcs.groups import GModuleAction, cyclic, symmetric3
-from arithcs.ops import carry_cocycle
+from arithcs.groups import GModuleAction, cyclic, s3_sign_hom, symmetric3
+from arithcs.ops import carry_cocycle, cyclic_three_cocycle
 from arithcs.zmod import ModuleOverZn
+
+FIX = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 FIXTURES = [
     toy_global_datum,
@@ -124,12 +130,38 @@ def test_shipped_fixture_files_load_and_validate(tmp_path):
     assert not validate_global_datum(broken).passed
 
 
-def test_nontrivial_action_roundtrip():
-    s3 = symmetric3()
-    from arithcs.groups import s3_sign_hom
+SHIPPED = {
+    "balanced_reciprocity": balanced_reciprocity_datum,
+    "broken_reciprocity": broken_reciprocity_datum,
+    "carry_mod3": partial(carry_cocycle, 3),
+    "quaternion_datum": quaternion_datum,
+    "quaternion_rho_i": partial(quaternion_rho, "i"),
+    "three_cocycle_mod2": partial(cyclic_three_cocycle, 2),
+    "toy_abelian_datum": toy_abelian_datum,
+    "toy_abelian_rho": toy_abelian_rho,
+    "toy_datum": toy_global_datum,
+    "toy_rho": toy_rho,
+    "z2_group": partial(cyclic, 2),
+    "z4_to_z2": toy_abelian_rho,
+}
 
-    act = GModuleAction.by_character(s3_sign_hom(s3, cyclic(2)), ModuleOverZn.cyclic(4), 3)
-    f = Cochain.random(act, 2, np.random.default_rng(0))
+
+def test_every_shipped_fixture_file_is_listed():
+    assert sorted(p.stem for p in FIX.glob("*.json")) == sorted(SHIPPED)
+
+
+@pytest.mark.parametrize("stem", sorted(SHIPPED))
+def test_shipped_fixture_file_equals_code(stem):
+    assert (FIX / f"{stem}.json").read_text(encoding="utf-8") == dataio.serialize_object(SHIPPED[stem]())
+
+
+def _sign_action():
+    s3 = symmetric3()
+    return GModuleAction.by_character(s3_sign_hom(s3, cyclic(2)), ModuleOverZn.cyclic(4), 3)
+
+
+def test_nontrivial_action_roundtrip():
+    f = Cochain.random(_sign_action(), 2, np.random.default_rng(0))
     doc = dataio.document_for(f)
     again = dataio.parse(dataio.serialize(doc))
     assert again.resolve_main() == f
@@ -152,3 +184,43 @@ def test_roundtrip_property_random_cochains(n, degree, data):
     text = dataio.serialize(dataio.document_for(f))
     assert dataio.parse(text).resolve_main() == f
     assert dataio.serialize(dataio.parse(text)) == text
+
+
+CARRY3 = partial(carry_cocycle, 3)  # a group, a module, a trivial action and a cochain
+# (document of, type of the object to change (None: the document), field, new value)
+NOT_STRICT_INTEGERS = {
+    "mul_float": (partial(cyclic, 2), "group", "mul", [0, 1, 1, 0.5]),
+    "order_bool": (partial(cyclic, 1), "group", "order", True),
+    "values_str": (CARRY3, "cochain", "values", ["1"] + [0] * 8),
+    "values_nested": (CARRY3, "cochain", "values", [[0] * 9]),
+    "values_1e30": (CARRY3, "cochain", "values", [1e30] + [0] * 8),
+    "values_2_pow_63": (CARRY3, "cochain", "values", [2**63] + [0] * 8),
+    "degree_float": (CARRY3, "cochain", "degree", 2.7),
+    "orders_float": (CARRY3, "module", "orders", [3.0]),
+    "modulus_str": (CARRY3, "module", "modulus", "3"),
+    "trivial_str": (CARRY3, "action", "trivial", "yes"),
+    "trivial_false": (CARRY3, "action", "trivial", False),
+    "map_float": (toy_abelian_rho, "hom", "map", [0, 1, 0, 1.5]),
+    "map_bool": (toy_abelian_rho, "hom", "map", [0, True, 0, True]),
+    "matrices_float": (_sign_action, "action", "matrices", [[1]] * 3 + [[3.0]] * 2 + [[1]]),
+    "matrices_flat": (_sign_action, "action", "matrices", [1, 1, 1, 3, 3, 1]),
+    "inertia_float": (toy_abelian_datum, "place", "inertia", [0, 1.0]),
+    "inv_normalization_bool": (toy_abelian_datum, "place", "inv_normalization", True),
+    "datum_modulus_float": (toy_abelian_datum, "global_datum", "modulus", 2.0),
+    "format_version_bool": (partial(cyclic, 2), None, "format_version", True),
+    "format_version_float": (partial(cyclic, 2), None, "format_version", 1.0),
+}
+
+
+@pytest.mark.parametrize("case", NOT_STRICT_INTEGERS.values(), ids=NOT_STRICT_INTEGERS.keys())
+def test_integer_fields_are_read_strictly(case):
+    factory, kind, key, value = case
+    payload = json.loads(dataio.serialize_object(factory()))
+    if kind is None:
+        payload[key], owner = value, "the document"
+    else:
+        name = next(k for k, v in sorted(payload["objects"].items()) if v["type"] == kind)
+        payload["objects"][name][key], owner = value, f"object '{name}'"
+    with pytest.raises(dataio.ValidationError) as err:
+        dataio.parse(json.dumps(payload))
+    assert str(err.value).startswith(owner) and f"'{key}'" in str(err.value)

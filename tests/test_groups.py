@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,6 +11,7 @@ from arithcs.groups import (
     conjugation_hom,
     cyclic,
     dihedral4,
+    direct_product,
     identity_hom,
     inclusion_hom,
     klein_four,
@@ -208,3 +210,71 @@ def test_mixed_order_action():
     act = GModuleAction(z2, m, mats)
     assert list(act.apply(1, [1, 2])) == [1, 2]  # 3*2 == 2 mod 4
     assert list(act.apply(1, [1, 1])) == [1, 3]
+
+
+def _two_generated_subgroups(g):
+    subs = set()
+    for a, b in itertools.combinations_with_replacement(g.elements(), 2):
+        sub, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for y in (g.op(x, a), g.op(x, b)):
+                if y not in sub:
+                    sub.add(y)
+                    frontier.append(y)
+        subs.add(tuple(sorted(sub)))
+    return sorted(subs)
+
+
+def _table_digest(g) -> str:
+    """sha256 of g's tables and of every inclusion and quotient map of its
+    subgroups on at most two generators."""
+    h = hashlib.sha256()
+
+    def add(a):
+        h.update(repr(a.shape).encode() + np.ascontiguousarray(a, dtype=np.int64).tobytes())
+
+    add(g.mul)
+    add(g.inverse)
+    for sub in _two_generated_subgroups(g):
+        inc = inclusion_hom(sub, g)
+        add(inc.map)
+        add(inc.dom.mul)
+        if g.is_normal(sub):
+            quot, proj = g.quotient_by(sub)
+            add(proj.map)
+            add(quot.mul)
+            add(quot.inverse)
+    return h.hexdigest()
+
+
+# The element order of a table defines every downstream index (cochain
+# tuples, differentials, documents), so a change in how tables are built must
+# keep these bytes.
+GROUP_FACTORIES = {
+    "cyclic6": lambda: cyclic(6),
+    "klein_four": klein_four,
+    "symmetric3": symmetric3,
+    "dihedral4": dihedral4,
+    "quaternion8": quaternion8,
+    "q8_x_z3": lambda: direct_product(quaternion8(), cyclic(3)),
+    "s3_x_z2": lambda: direct_product(symmetric3(), cyclic(2)),
+    "z2_x_d4": lambda: direct_product(cyclic(2), dihedral4()),
+    "z3_x_s3": lambda: direct_product(cyclic(3), symmetric3()),
+}
+TABLE_DIGESTS = {
+    "cyclic6": "29f72395ceba1cca29d8ebf4fc7808fa27a7195b6f483bd9964fef57d79f520a",
+    "klein_four": "cff7aa808b6c935910b426ede13cb807236888ed36b1db337200404237d9f0bb",
+    "symmetric3": "e67f9c2b2997f15f3fb7d71e5af3f9915fbecbb5974e53be28bffcb207141390",
+    "dihedral4": "963e9fc1883b7c06806bb73373c72e083667f6ad782cff2c9cdbe1ee5df2a3cd",
+    "quaternion8": "cccf8d74db95431dcfbb827feb0c8f77d24e9c214dc0551aecc8279f827fd418",
+    "q8_x_z3": "c1208f8bee8b5f7e35d9bb615fe3aa6d10f19f8dcd6a625c597d7fdd834acb31",
+    "s3_x_z2": "97366e929f87e90a955a2d1e6cddaf56b9a73eac23c347e4aad2497485f897b2",
+    "z2_x_d4": "f3ea645c9101d0e57e0b6039ff4407f0cdc0496614a2add86e18f630714802a8",
+    "z3_x_s3": "315ea45149de3ddadb89149e88eeb33b5e6c36289fa09423ec2ddd9d5596392a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_FACTORIES))
+def test_group_tables_are_pinned(name):
+    assert _table_digest(GROUP_FACTORIES[name]()) == TABLE_DIGESTS[name]
