@@ -9,8 +9,6 @@ invariant of finite global/local Galois data by two independent routes
 """
 
 from .zmod import (
-    MatZn,
-    ModRing,
     ModuleOverZn,
     howell_form,
     left_kernel,

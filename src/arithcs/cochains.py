@@ -23,11 +23,10 @@ import numpy as np
 
 from .groups import FiniteGroup, GModuleAction, GroupHom
 from .zmod import (
-    left_kernel,
-    MatZn,
     diagonalize_mod,
     lattice_basis,
     lattice_coordinates,
+    left_kernel,
     right_kernel,
     solve_linear,
     _freeze,
@@ -238,17 +237,21 @@ def _row_scales(coeffs: GModuleAction, degree: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _scaled_differential(coeffs: GModuleAction, i: int) -> MatZn:
+def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     """d as a Z/n matrix whose kernel/image encode the mixed-order module exactly.
 
-    Row s is multiplied by n / order(s), so congruence mod n in each row is
-    congruence mod the coordinate's cyclic order.  This is the only cached
-    dense copy of d: ``solve_differential``, ``cohomology`` (for its kernel),
+    A read-only int64 array with entries in [0, n), to be passed to the
+    ``zmod`` routines together with n = ``coeffs.modulus``.  Row s is
+    multiplied by n / order(s), so congruence mod n in each row is congruence
+    mod the coordinate's cyclic order.  Scaling and reduction happen in
+    place, so building d holds one copy of it.  This is the only cached dense
+    copy of d: ``solve_differential``, ``cohomology`` (for its kernel),
     ``normalized_representative`` and the local invariants all reuse it.
     """
     d = _differential_matrix(coeffs, i)
     d *= _row_scales(coeffs, i + 1)[:, None]
-    return MatZn(d, coeffs.modulus)
+    d %= coeffs.modulus
+    return _freeze(d)
 
 
 def solve_differential(
@@ -270,13 +273,13 @@ def solve_differential(
     b = (target.values.reshape(-1) * _row_scales(coeffs, degree + 1)) % coeffs.modulus
     if column_order is not None:
         perm = np.asarray(column_order, dtype=np.int64)
-        sol = solve_linear(MatZn(a.a[:, perm], coeffs.modulus), b)
+        sol = solve_linear(a[:, perm], b, coeffs.modulus)
         if sol is None:
             return None
-        x = np.zeros(a.cols, dtype=np.int64)
+        x = np.zeros(a.shape[1], dtype=np.int64)
         x[perm] = sol.particular
     else:
-        sol = solve_linear(a, b)
+        sol = solve_linear(a, b, coeffs.modulus)
         if sol is None:
             return None
         x = sol.particular
@@ -314,9 +317,9 @@ class NontrivialClass:
 Classification = NonCocycle | Coboundary | NontrivialClass
 
 
-def classify(f: Cochain, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> Classification:
+def classify(f: Cochain) -> Classification:
     """Total classification of a cochain: non-cocycle, coboundary, or class."""
-    df = differential(f, degree_cap=degree_cap)
+    df = differential(f)
     if not df.is_zero():
         flat = int(np.flatnonzero(df.values.any(axis=1))[0])
         return NonCocycle(decode_index(flat, f.group.order, f.degree + 1))
@@ -375,7 +378,7 @@ class CohomologyGroup:
 
 
 @functools.lru_cache(maxsize=None)
-def cohomology(coeffs: GModuleAction, degree: int, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> CohomologyGroup:
+def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     """Compute H^degree(G, M) = ker d / im d by canonical forms.
 
     Kernel generators come from the Howell-form right kernel over Z/n, and
@@ -386,8 +389,8 @@ def cohomology(coeffs: GModuleAction, degree: int, *, degree_cap: int = DEFAULT_
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree + 1 > degree_cap:
-        raise DegreeBoundError(f"cohomology in degree {degree} needs d up to {degree + 1} > cap {degree_cap}")
+    if degree + 1 > DEFAULT_DEGREE_CAP:
+        raise DegreeBoundError(f"cohomology in degree {degree} needs d up to {degree + 1} > cap {DEFAULT_DEGREE_CAP}")
     n = coeffs.modulus
     m = coeffs.group.order
     r = coeffs.module.rank
@@ -396,8 +399,8 @@ def cohomology(coeffs: GModuleAction, degree: int, *, degree_cap: int = DEFAULT_
 
     # Z-basis of the cocycle lattice (the lattice contains n*Z^width, which
     # keeps all entries reduced mod n throughout)
-    kernel = right_kernel(_scaled_differential(coeffs, degree))
-    basis = lattice_basis(kernel.a, width, n)
+    kernel = right_kernel(_scaled_differential(coeffs, degree), n)
+    basis = lattice_basis(kernel, width, n)
 
     # coboundary lattice generators in basis coordinates: columns of the
     # previous differential plus the coordinate relations m_t e_t; the
@@ -408,7 +411,7 @@ def cohomology(coeffs: GModuleAction, degree: int, *, degree_cap: int = DEFAULT_
         b_rows = np.vstack([dmat.T % n, np.diag(orders) % n])
     else:
         b_rows = np.diag(orders) % n
-    nker = left_kernel(MatZn(basis, n)).a.reshape(-1, width)
+    nker = left_kernel(basis, n).reshape(-1, width)
     cmat = np.vstack([lattice_coordinates(basis, b_rows, n), nker])
     diag, v, w = diagonalize_mod(cmat, n)
     kept = [j for j in range(width) if diag[j] > 1]
@@ -450,7 +453,7 @@ def normalized_representative(f: Cochain) -> Cochain:
     a = _scaled_differential(f.coeffs, i - 1)
     sel = np.array([t for idx in degenerate for t in range(idx * r, idx * r + r)], dtype=np.int64)
     b = (f.values.reshape(-1) * _row_scales(f.coeffs, i)) % f.coeffs.modulus
-    sol = solve_linear(MatZn(a.a[sel], f.coeffs.modulus), b[sel])
+    sol = solve_linear(a[sel], b[sel], f.coeffs.modulus)
     if sol is None:
         raise ValueError("no normalized representative in the coboundary class")
     return f - differential(Cochain(f.coeffs, i - 1, sol.particular))

@@ -37,7 +37,7 @@ from .cochains import (
 )
 from .groups import FiniteGroup, GModuleAction, GroupHom, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
-from .zmod import MAX_MODULUS, MatZn, ModuleOverZn, NotDivisibleError, solve_linear
+from .zmod import MAX_MODULUS, ModuleOverZn, NotDivisibleError, solve_linear
 
 
 class NotInGeneratedSummandError(ValueError):
@@ -201,9 +201,9 @@ def local_invariant(x: Cochain, place: PlaceDatum) -> InvariantValue:
     dmat = _scaled_differential(coeffs, 1)
     scales = _row_scales(coeffs, 2)
     gen_col = (place.h2_generator.values.reshape(-1) * scales) % n
-    a = MatZn(np.hstack([dmat.a, gen_col[:, None]]), n)
+    a = np.hstack([dmat, gen_col[:, None]])
     b = (x.values.reshape(-1) * scales) % n
-    sol = solve_linear(a, b)
+    sol = solve_linear(a, b, n)
     if sol is None:
         raise NotInGeneratedSummandError(
             "class lies outside the cyclic summand generated by the declared h2_generator"
@@ -231,7 +231,7 @@ def h2_class_value(place: PlaceDatum, coords: tuple[int, ...]) -> InvariantValue
     rhs = np.array(
         [(n // d) * y for d, y in zip(h2.invariant_factors, coords)], dtype=np.int64
     )
-    sol = solve_linear(MatZn(rows, n), rhs)
+    sol = solve_linear(rows, rhs, n)
     if sol is None:
         raise NotInGeneratedSummandError(
             "coordinates lie outside the declared cyclic summand"

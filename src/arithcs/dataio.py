@@ -10,9 +10,10 @@ where entries reference each other by name.  Serialization is deterministic
 (sorted keys, fixed list order, two-space indent), so parse(serialize(x))
 round-trips and identical inputs produce byte-identical files.  Everything
 is validated while loading: integer fields (JSON integers inside int64;
-never a bool, float or string), group axioms, homomorphism laws, action
-axioms, and cocycle conditions where the format declares them (place
-generators and gauge 3-cocycles).
+never a bool, float or string), references (each names an object of the
+type the field needs), group axioms, homomorphism laws, action axioms, and
+cocycle conditions where the format declares them (place generators and
+gauge 3-cocycles).
 
 Cochain values are stored flattened in lexicographic tuple order, module
 coordinates fastest; groups are stored as row-major multiplication tables
@@ -249,7 +250,26 @@ def _resolve_all(raw_objects: dict) -> dict[str, object]:
     return resolved
 
 
+_KINDS = {
+    FiniteGroup: "group",
+    ModuleOverZn: "module",
+    GroupHom: "hom",
+    GModuleAction: "action",
+    Cochain: "cochain",
+    PlaceDatum: "place",
+    GlobalDatum: "global_datum",
+}
+
+
 def _build(kind: str, entry: dict, name: str, resolve):
+    def ref(key: str, cls: type, target=None):
+        """The object that field ``key`` (or ``target``, one of its items) names."""
+        target = _require(entry, key, name) if target is None else target
+        obj = resolve(target)
+        if not isinstance(obj, cls):
+            raise ValidationError(f"object {name!r}: field {key!r} must name a {_KINDS[cls]}, got {target!r}")
+        return obj
+
     if kind == "group":
         order = _ints(entry, "order", name)
         mul = np.array(_ints(entry, "mul", name, 1), dtype=np.int64)
@@ -259,12 +279,10 @@ def _build(kind: str, entry: dict, name: str, resolve):
     if kind == "module":
         return ModuleOverZn(_ints(entry, "modulus", name), tuple(_ints(entry, "orders", name, 1)))
     if kind == "hom":
-        dom = resolve(_require(entry, "dom", name))
-        cod = resolve(_require(entry, "cod", name))
-        return make_hom(dom, cod, _ints(entry, "map", name, 1))
+        return make_hom(ref("dom", FiniteGroup), ref("cod", FiniteGroup), _ints(entry, "map", name, 1))
     if kind == "action":
-        group = resolve(_require(entry, "group", name))
-        module = resolve(_require(entry, "module", name))
+        group = ref("group", FiniteGroup)
+        module = ref("module", ModuleOverZn)
         if "trivial" in entry:
             if entry["trivial"] is not True:
                 raise ValidationError(f"object {name!r}: field 'trivial' must be true, got {entry['trivial']!r}")
@@ -275,9 +293,14 @@ def _build(kind: str, entry: dict, name: str, resolve):
             raise ValidationError(f"object {name!r}: field 'matrices' needs {group.order} lists of {r * r} integers")
         return GModuleAction(group, module, np.array(mats, dtype=np.int64).reshape(group.order, r, r))
     if kind == "cochain":
-        action = resolve(_require(entry, "action", name))
+        action = ref("action", GModuleAction)
         degree = _ints(entry, "degree", name)
         values = np.array(_ints(entry, "values", name, 1), dtype=np.int64)
+        # order**degree >= 2**(bits * degree): a degree too large for the
+        # values is refused before the power is computed
+        bits = action.group.order.bit_length() - 1
+        if degree < 0 or bits * degree > values.size.bit_length():
+            raise ValidationError(f"object {name!r}: field 'degree' is {degree}, which does not fit {values.size} values")
         expected = action.group.order**degree * action.module.rank
         if values.size != expected:
             raise ValidationError(
@@ -285,10 +308,10 @@ def _build(kind: str, entry: dict, name: str, resolve):
             )
         return Cochain(action, degree, values.reshape(-1, action.module.rank))
     if kind == "place":
-        gen = resolve(_require(entry, "h2_generator", name))
+        gen = ref("h2_generator", Cochain)
         place = PlaceDatum(
-            local_group=resolve(_require(entry, "local_group", name)),
-            embedding=resolve(_require(entry, "embedding", name)),
+            local_group=ref("local_group", FiniteGroup),
+            embedding=ref("embedding", GroupHom),
             inertia=tuple(_ints(entry, "inertia", name, 1)),
             h2_generator=gen,
             inv_normalization=_ints(entry, "inv_normalization", name),
@@ -297,12 +320,15 @@ def _build(kind: str, entry: dict, name: str, resolve):
             raise ValidationError(f"object {name!r}: declared h2_generator is not a cocycle")
         return place
     if kind == "global_datum":
+        places = _require(entry, "places", name)
+        if type(places) is not list:
+            raise ValidationError(f"object {name!r}: field 'places' must be a list, got {places!r}")
         datum = GlobalDatum(
             modulus=_ints(entry, "modulus", name),
-            global_group=resolve(_require(entry, "global_group", name)),
-            places=tuple(resolve(p) for p in _require(entry, "places", name)),
-            gauge_group=resolve(_require(entry, "gauge_group", name)),
-            three_cocycle=resolve(_require(entry, "three_cocycle", name)),
+            global_group=ref("global_group", FiniteGroup),
+            places=tuple(ref("places", PlaceDatum, p) for p in places),
+            gauge_group=ref("gauge_group", FiniteGroup),
+            three_cocycle=ref("three_cocycle", Cochain),
         )
         if not differential(datum.three_cocycle).is_zero():
             raise ValidationError(f"object {name!r}: declared three_cocycle is not a cocycle")
@@ -324,7 +350,10 @@ def parse(text: str) -> Document:
     raw = payload.get("objects", {})
     if not isinstance(raw, dict):
         raise ValidationError("'objects' must be a JSON object")
-    return Document(raw=raw, objects=_resolve_all(raw), main=payload.get("main"))
+    main = payload.get("main")
+    if main is not None and not isinstance(main, str):
+        raise ValidationError(f"'main' must name an object, got {main!r}")
+    return Document(raw=raw, objects=_resolve_all(raw), main=main)
 
 
 def load_path(path) -> Document:

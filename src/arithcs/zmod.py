@@ -8,7 +8,12 @@ unique canonical row form for Z/n-row spaces (Z/n is not a field), so it is
 used wherever membership in a row space has to be decided.  The two-sided
 invariant-factor diagonalization ``diagonalize_mod`` of a lattice containing
 n*Z^w gives ``cohomology`` its invariant factors, generators and coordinates.
-All arithmetic is exact; there is no floating point in this package.
+
+Matrices are plain 2-D int64 array-likes with any integer entries, and the
+modulus n comes last: ``howell_form(a, n)``, ``solve_linear(a, b, n)``,
+``diagonalize_mod(a, n)``.  The routines reduce their inputs mod n
+themselves, never modify them and return new arrays.  All arithmetic is
+exact; there is no floating point in this package.
 """
 
 from __future__ import annotations
@@ -34,23 +39,6 @@ def _check_modulus(n: int) -> int:
     if not 2 <= n <= MAX_MODULUS:
         raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {n}")
     return n
-
-
-@dataclass(frozen=True)
-class ModRing:
-    """The ring Z/n, n >= 2.  Representatives always live in [0, n)."""
-
-    modulus: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "modulus", _check_modulus(self.modulus))
-
-    def reduce(self, a):
-        return np.asarray(a, dtype=np.int64) % self.modulus
-
-    def units(self) -> list[int]:
-        n = self.modulus
-        return [u for u in range(1, n) if gcd(u, n) == 1]
 
 
 @dataclass(frozen=True)
@@ -101,49 +89,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class MatZn:
-    """A rows x cols matrix with entries in Z/n, immutable after creation."""
-
-    __slots__ = ("modulus", "a")
-
-    def __init__(self, entries, modulus: int):
-        n = _check_modulus(modulus)
-        a = np.atleast_2d(np.asarray(entries, dtype=np.int64)) % n
-        if a.ndim != 2:
-            raise ValueError("matrix entries must be two-dimensional")
-        self.modulus = n
-        self.a = _freeze(a)
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def __matmul__(self, other: "MatZn") -> "MatZn":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        return MatZn(self.a @ other.a, self.modulus)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatZn)
-            and self.modulus == other.modulus
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.a.shape, self.a.tobytes()))
-
-    def __repr__(self):
-        return f"MatZn({self.a.tolist()}, mod {self.modulus})"
-
-    @classmethod
-    def identity(cls, size: int, modulus: int) -> "MatZn":
-        return cls(np.eye(size, dtype=np.int64), modulus)
+def _matrix(a, n: int) -> tuple[np.ndarray, int]:
+    """``a`` as a 2-D int64 array and ``n`` checked as a modulus."""
+    n = _check_modulus(n)
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError(f"matrix entries must be two-dimensional, got {a.ndim} dimensions")
+    return a, n
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -233,26 +185,24 @@ def _howell_rows(mat: np.ndarray, n: int):
     return h, u, k
 
 
-def howell_form(m: MatZn) -> tuple[MatZn, MatZn]:
-    """Canonical Howell form of m's row space, with transform @ m == canonical.
+def howell_form(a, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical Howell form h of a's row space over Z/n, and u with u @ a == h.
 
     The form is unique for a given row space; zero rows are dropped, so the
     zero space has a 0 x cols form.
     """
-    h, u, _ = _howell_rows(m.a, m.modulus)
-    return MatZn(h, m.modulus), MatZn(u, m.modulus)
+    return _howell_rows(*_matrix(a, n))[:2]
 
 
-def left_kernel(m: MatZn) -> MatZn:
-    """Rows generating {x : x @ m == 0} over Z/n."""
-    _, _, k = _howell_rows(m.a, m.modulus)
-    return MatZn(k, m.modulus)
+def left_kernel(a, n: int) -> np.ndarray:
+    """Rows generating {x : x @ a == 0} over Z/n."""
+    return _howell_rows(*_matrix(a, n))[2]
 
 
-def right_kernel(m: MatZn) -> MatZn:
-    """Rows generating {x : m @ x == 0} over Z/n."""
-    _, _, k = _howell_rows(m.a.T, m.modulus)
-    return MatZn(k, m.modulus)
+def right_kernel(a, n: int) -> np.ndarray:
+    """Rows generating {x : a @ x == 0} over Z/n."""
+    a, n = _matrix(a, n)
+    return _howell_rows(a.T, n)[2]
 
 
 def _reduce_against(h: np.ndarray, vec: np.ndarray, n: int):
@@ -279,7 +229,7 @@ class LinearSolution:
     kernel_basis: np.ndarray
 
 
-def solve_linear(a: MatZn, b) -> LinearSolution | None:
+def solve_linear(a, b, n: int) -> LinearSolution | None:
     """Solve a @ x == b over Z/n; None means no solution exists.
 
     The particular solution is the deterministic canonical one produced by
@@ -287,15 +237,15 @@ def solve_linear(a: MatZn, b) -> LinearSolution | None:
     pivot, smallest representative).  kernel_basis rows generate the full
     right kernel of a, so the solution set is particular + span(kernel).
     """
-    n = a.modulus
+    a, n = _matrix(a, n)
     b = np.asarray(b, dtype=np.int64).ravel() % n
-    if b.shape[0] != a.rows:
+    if b.shape[0] != a.shape[0]:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    h, u, k = _howell_rows(a.a.T, n)
+    h, u, k = _howell_rows(a.T, n)
     coeff, ok = _reduce_against(h, b, n)
     if not ok:
         return None
-    x = coeff @ u % n if h.shape[0] else np.zeros(a.cols, dtype=np.int64)
+    x = coeff @ u % n if h.shape[0] else np.zeros(a.shape[1], dtype=np.int64)
     return LinearSolution(particular=x, kernel_basis=k)
 
 

@@ -94,11 +94,11 @@ def _actions(group):
 
 
 def _random_cocycles(coeffs, degree, count, rng):
-    kernel = right_kernel(_scaled_differential(coeffs, degree))
+    kernel = right_kernel(_scaled_differential(coeffs, degree), coeffs.modulus)
     out = []
     for _ in range(count):
-        coef = rng.integers(0, coeffs.modulus, size=kernel.rows)
-        vals = (coef @ kernel.a) % coeffs.modulus
+        coef = rng.integers(0, coeffs.modulus, size=kernel.shape[0])
+        vals = (coef @ kernel) % coeffs.modulus
         out.append(Cochain(coeffs, degree, vals.reshape(-1, coeffs.module.rank)))
     return out
 

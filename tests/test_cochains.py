@@ -97,7 +97,7 @@ def test_matrix_agrees_with_gather(coeffs):
     n = coeffs.modulus
     rng = np.random.default_rng(coeffs.group.order)
     for degree in range(0, 3):
-        a = _scaled_differential(coeffs, degree).a
+        a = _scaled_differential(coeffs, degree)
         scales = _row_scales(coeffs, degree + 1)
         for _ in range(5):
             f = Cochain.random(coeffs, degree, rng)

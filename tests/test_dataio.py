@@ -196,6 +196,8 @@ NOT_STRICT_INTEGERS = {
     "values_1e30": (CARRY3, "cochain", "values", [1e30] + [0] * 8),
     "values_2_pow_63": (CARRY3, "cochain", "values", [2**63] + [0] * 8),
     "degree_float": (CARRY3, "cochain", "degree", 2.7),
+    "degree_negative": (CARRY3, "cochain", "degree", -1),
+    "degree_huge": (CARRY3, "cochain", "degree", 10**6),
     "orders_float": (CARRY3, "module", "orders", [3.0]),
     "modulus_str": (CARRY3, "module", "modulus", "3"),
     "trivial_str": (CARRY3, "action", "trivial", "yes"),

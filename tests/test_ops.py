@@ -44,9 +44,9 @@ def triv(group, n):
 
 
 def random_cocycle(coeffs, degree, rng):
-    k = right_kernel(_scaled_differential(coeffs, degree))
-    coef = rng.integers(0, coeffs.modulus, size=k.rows)
-    vals = (coef @ k.a) % coeffs.modulus
+    k = right_kernel(_scaled_differential(coeffs, degree), coeffs.modulus)
+    coef = rng.integers(0, coeffs.modulus, size=k.shape[0])
+    vals = (coef @ k) % coeffs.modulus
     f = Cochain(coeffs, degree, vals.reshape(-1, coeffs.module.rank))
     assert differential(f).is_zero()
     return f
