@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -236,6 +236,11 @@ def _row_scales(coeffs: GModuleAction, degree: int) -> np.ndarray:
     return np.tile(per, m**degree)
 
 
+def _scaled(f: Cochain) -> np.ndarray:
+    """f's flattened values with each row scaled as in ``_scaled_differential``."""
+    return (f.values.reshape(-1) * _row_scales(f.coeffs, f.degree)) % f.coeffs.modulus
+
+
 @functools.lru_cache(maxsize=None)
 def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     """d as a Z/n matrix whose kernel/image encode the mixed-order module exactly.
@@ -270,19 +275,14 @@ def solve_differential(
     if target.degree != degree + 1:
         raise ValueError("target degree must be degree + 1")
     a = _scaled_differential(coeffs, degree)
-    b = (target.values.reshape(-1) * _row_scales(coeffs, degree + 1)) % coeffs.modulus
-    if column_order is not None:
-        perm = np.asarray(column_order, dtype=np.int64)
-        sol = solve_linear(a[:, perm], b, coeffs.modulus)
-        if sol is None:
-            return None
+    perm = None if column_order is None else np.asarray(column_order, dtype=np.int64)
+    sol = solve_linear(a if perm is None else a[:, perm], _scaled(target), coeffs.modulus)
+    if sol is None:
+        return None
+    x = sol.particular
+    if perm is not None:
         x = np.zeros(a.shape[1], dtype=np.int64)
         x[perm] = sol.particular
-    else:
-        sol = solve_linear(a, b, coeffs.modulus)
-        if sol is None:
-            return None
-        x = sol.particular
     return Cochain(coeffs, degree, x)
 
 
@@ -333,30 +333,23 @@ def classify(f: Cochain) -> Classification:
     return NontrivialClass(cohomology(f.coeffs, f.degree).coordinates(f))
 
 
+@dataclass(frozen=True, eq=False)
 class CohomologyGroup:
     """H^i(G, M) with invariant factors, generating cocycles, and coordinates.
 
     Coordinates are computed through a fixed triangular basis of the cocycle
-    lattice followed by the column transform that diagonalizes the
-    coboundary relations mod n, so they are zero exactly on coboundaries and
-    the published generators map to the standard basis vectors.
+    lattice followed by the columns of the transform that diagonalizes the
+    coboundary relations mod n, one per invariant factor, so they are zero
+    exactly on coboundaries and the published generators map to the
+    standard basis vectors.
     """
 
-    def __init__(self, coeffs, degree, invariant_factors, generators, basis, v_rows, diag, kept):
-        self.coeffs = coeffs
-        self.degree = degree
-        self.invariant_factors = invariant_factors
-        self.generators = generators
-        self._basis = basis    # triangular basis of the cocycle lattice (lattice_basis)
-        self._v_rows = v_rows  # column transform v of diagonalize_mod on the relations
-        self._diag = diag
-        self._kept = kept
-
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+    coeffs: GModuleAction = field(repr=False)
+    degree: int
+    invariant_factors: tuple[int, ...]
+    generators: tuple[Cochain, ...] = field(repr=False)
+    basis: np.ndarray = field(repr=False)  # triangular basis of the cocycle lattice
+    transform: np.ndarray = field(repr=False)  # columns of diagonalize_mod's v, one per factor
 
     def is_trivial(self) -> bool:
         return not self.invariant_factors
@@ -367,14 +360,11 @@ class CohomologyGroup:
             raise ValueError("cochain does not live in this cohomology group")
         n = self.coeffs.modulus
         try:
-            c = lattice_coordinates(self._basis, f.values.reshape(1, -1), n)[0]
+            c = lattice_coordinates(self.basis, f.values.reshape(1, -1), n)[0]
         except ValueError:
             raise ValueError("not a cocycle") from None
-        moved = (c @ self._v_rows) % n
-        return tuple(int(moved[j]) % self._diag[j] for j in self._kept)
-
-    def __repr__(self):
-        return f"CohomologyGroup(degree={self.degree}, invariant_factors={self.invariant_factors})"
+        moved = (c @ self.transform) % n
+        return tuple(int(x) % d for x, d in zip(moved, self.invariant_factors))
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,21 +407,8 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     kept = [j for j in range(width) if diag[j] > 1]
     invariant_factors = tuple(diag[j] for j in kept)
 
-    gen_vecs = (w[kept] @ basis) % n if kept else np.zeros((0, width), dtype=np.int64)
-    generators = tuple(
-        Cochain(coeffs, degree, vec.reshape(m**degree, r)) for vec in gen_vecs
-    )
-
-    return CohomologyGroup(
-        coeffs,
-        degree,
-        invariant_factors,
-        generators,
-        basis,
-        v,
-        diag,
-        kept,
-    )
+    generators = tuple(Cochain(coeffs, degree, vec.reshape(m**degree, r)) for vec in (w[kept] @ basis) % n)
+    return CohomologyGroup(coeffs, degree, invariant_factors, generators, basis, v[:, kept])
 
 
 def normalized_representative(f: Cochain) -> Cochain:
@@ -452,7 +429,7 @@ def normalized_representative(f: Cochain) -> Cochain:
     ]
     a = _scaled_differential(f.coeffs, i - 1)
     sel = np.array([t for idx in degenerate for t in range(idx * r, idx * r + r)], dtype=np.int64)
-    b = (f.values.reshape(-1) * _row_scales(f.coeffs, i)) % f.coeffs.modulus
+    b = _scaled(f)
     sol = solve_linear(a[sel], b[sel], f.coeffs.modulus)
     if sol is None:
         raise ValueError("no normalized representative in the coboundary class")

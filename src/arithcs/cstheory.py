@@ -32,7 +32,7 @@ from .cochains import (
     differential,
     pullback,
     solve_differential,
-    _row_scales,
+    _scaled,
     _scaled_differential,
 )
 from .groups import FiniteGroup, GModuleAction, GroupHom, cyclic, make_hom
@@ -197,13 +197,8 @@ def local_invariant(x: Cochain, place: PlaceDatum) -> InvariantValue:
         raise ValueError("expected a degree-2 cochain on the place's local group")
     if not differential(x).is_zero():
         raise ValueError("local invariants are defined on cocycles only")
-    coeffs = x.coeffs
-    dmat = _scaled_differential(coeffs, 1)
-    scales = _row_scales(coeffs, 2)
-    gen_col = (place.h2_generator.values.reshape(-1) * scales) % n
-    a = np.hstack([dmat, gen_col[:, None]])
-    b = (x.values.reshape(-1) * scales) % n
-    sol = solve_linear(a, b, n)
+    a = np.hstack([_scaled_differential(x.coeffs, 1), _scaled(place.h2_generator)[:, None]])
+    sol = solve_linear(a, _scaled(x), n)
     if sol is None:
         raise NotInGeneratedSummandError(
             "class lies outside the cyclic summand generated by the declared h2_generator"
@@ -297,26 +292,21 @@ def validate_global_datum(datum: GlobalDatum) -> ValidationReport:
                 place.local_group.is_normal(place.inertia),
             )
         )
-        gen_class = classify(place.h2_generator)
-        if not isinstance(gen_class, NontrivialClass):
-            checks.append(
-                CheckResult(
-                    f"{tag}: h2_generator generates an order-{n} summand",
-                    False,
-                    detail=f"classified as {type(gen_class).__name__}"
-                    + (f" with witness {gen_class.witness}" if isinstance(gen_class, NonCocycle) else ""),
-                )
+        # local invariants compare restrictions of global classes, which
+        # live on Z/n with the trivial action, with the generator
+        coeffs = place.h2_generator.coeffs
+        if coeffs.module != ModuleOverZn.cyclic(n) or not coeffs.is_trivial():
+            ok, detail = False, f"coefficients are not Z/{n} with the trivial action"
+        elif not isinstance(gen_class := classify(place.h2_generator), NontrivialClass):
+            ok = False
+            detail = f"classified as {type(gen_class).__name__}" + (
+                f" with witness {gen_class.witness}" if isinstance(gen_class, NonCocycle) else ""
             )
         else:
-            h2 = cohomology(place.h2_generator.coeffs, 2)
+            h2 = cohomology(coeffs, 2)
             ok = _generates_summand(h2.invariant_factors, gen_class.coordinates, n)
-            checks.append(
-                CheckResult(
-                    f"{tag}: h2_generator generates an order-{n} summand",
-                    ok,
-                    detail=f"H^2 factors {h2.invariant_factors}, coordinates {gen_class.coordinates}",
-                )
-            )
+            detail = f"H^2 factors {h2.invariant_factors}, coordinates {gen_class.coordinates}"
+        checks.append(CheckResult(f"{tag}: h2_generator generates an order-{n} summand", ok, detail=detail))
         checks.append(
             CheckResult(
                 f"{tag}: inv_normalization is a unit mod {n}",

@@ -41,6 +41,10 @@ from .groups import (
 from .zmod import ModuleOverZn
 
 FORMAT_VERSION = 1
+# 2**63 tuples fill int64, so no group of order >= 2 has a larger degree
+# that can be stored; the bound also covers the order-1 group, where one
+# value fits every degree but the operations loop over the degree
+MAX_COCHAIN_DEGREE = 63
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -296,11 +300,8 @@ def _build(kind: str, entry: dict, name: str, resolve):
         action = ref("action", GModuleAction)
         degree = _ints(entry, "degree", name)
         values = np.array(_ints(entry, "values", name, 1), dtype=np.int64)
-        # order**degree >= 2**(bits * degree): a degree too large for the
-        # values is refused before the power is computed
-        bits = action.group.order.bit_length() - 1
-        if degree < 0 or bits * degree > values.size.bit_length():
-            raise ValidationError(f"object {name!r}: field 'degree' is {degree}, which does not fit {values.size} values")
+        if not 0 <= degree <= MAX_COCHAIN_DEGREE:
+            raise ValidationError(f"object {name!r}: field 'degree' is {degree}, outside [0, {MAX_COCHAIN_DEGREE}]")
         expected = action.group.order**degree * action.module.rank
         if values.size != expected:
             raise ValidationError(

@@ -2,16 +2,21 @@
 
 The gluing pipeline needs every place to carry a canonical unramified
 trivialization, which at a finite scale forces the inertia-free quotient of
-each local group to have order prime to n.  The toys below therefore use
-totally ramified places (inertia equal to the whole local group, quotient
-trivial) sitting inside a Z/4 global group; reciprocity holds because the
-two places are identical and n = 2, so their contributions cancel.
-
+each local group to have order prime to n.  The gluing toys therefore use
+totally ramified places (inertia equal to the whole local group Z/2,
+quotient trivial).  ``toy_global_datum`` and ``toy_abelian_datum`` put two
+of them inside a Z/4 global group; reciprocity holds because the two places
+are identical and n = 2, so their contributions cancel.
 ``toy_global_datum`` uses the nonabelian gauge group S3, giving the
 conjugation action on representations real content; ``toy_abelian_datum`` is
-the same global/local picture with gauge group Z/2.  The reciprocity pair
-(``balanced_reciprocity_datum`` / ``broken_reciprocity_datum``) lives mod 3,
-where +1 and -1 normalizations actually differ.
+the same global/local picture with gauge group Z/2.  ``quaternion_datum``
+has one totally ramified place, at the center of Q8.
+
+The other data use unramified identity places: the local group Z/n mapped
+identically onto the global group, with trivial inertia.  The reciprocity
+pair (``balanced_reciprocity_datum`` / ``broken_reciprocity_datum``) has two
+of them mod 3, where +1 and -1 normalizations actually differ, and
+``one_place_fiber_datum`` has one on Z/2.
 """
 
 from __future__ import annotations

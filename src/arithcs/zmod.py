@@ -1,13 +1,19 @@
 """Exact linear algebra over Z/n.
 
 Everything downstream (cocycle membership, trivialization solving, cohomology
-group structure) reduces to two elimination routines implemented here.  The
-row Howell form with its transform and left kernel serves ``howell_form``,
-the kernels, ``solve_linear`` and ``lattice_basis``.  Howell form is the
+group structure) reduces to the elimination steps implemented here, each
+written once.  ``_howell_rows`` computes the row Howell form with its
+transform and left kernel; it serves ``howell_form``, ``left_kernel``,
+``right_kernel``, ``solve_linear`` and ``lattice_basis``.  Howell form is the
 unique canonical row form for Z/n-row spaces (Z/n is not a field), so it is
-used wherever membership in a row space has to be decided.  The two-sided
+used wherever membership in a row space has to be decided.
+``_back_substitute`` reduces vectors against an echelon form, a Howell form
+in ``solve_linear`` and a triangular lattice basis in
+``lattice_coordinates``; a zero remainder means membership.  The two-sided
 invariant-factor diagonalization ``diagonalize_mod`` of a lattice containing
-n*Z^w gives ``cohomology`` its invariant factors, generators and coordinates.
+n*Z^w gives ``cohomology`` its invariant factors, generators and
+coordinates; ``_clear`` clears its pivot columns, and its pivot rows through
+the transposed view.
 
 Matrices are plain 2-D int64 array-likes with any integer entries, and the
 modulus n comes last: ``howell_form(a, n)``, ``solve_linear(a, b, n)``,
@@ -205,20 +211,28 @@ def right_kernel(a, n: int) -> np.ndarray:
     return _howell_rows(a.T, n)[2]
 
 
-def _reduce_against(h: np.ndarray, vec: np.ndarray, n: int):
-    """Back-reduce vec by a Howell form; returns (coefficients, fully_reduced)."""
-    res = vec.copy()
-    coeff = np.zeros(h.shape[0], dtype=np.int64)
-    for i in range(h.shape[0]):
-        j = int(np.flatnonzero(h[i])[0])
-        p = int(h[i][j])
-        if res[j] % p:
-            return coeff, False
-        q = int(res[j]) // p
-        coeff[i] = q
-        if q:
-            res = (res - q * h[i]) % n
-    return coeff, not res.any()
+def _leading(h: np.ndarray) -> np.ndarray:
+    """Column of the first nonzero entry of each (nonzero) row of h."""
+    # argmax refuses an empty axis; a form without rows has no pivots
+    return (h != 0).argmax(axis=1) if h.size else np.zeros(0, dtype=np.intp)
+
+
+def _back_substitute(h: np.ndarray, vecs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the rows of vecs against the echelon rows of h, top to bottom.
+
+    Returns (coefficients, remainders) with vecs == coefficients @ h +
+    remainders mod n.  Against a Howell form or a triangular lattice basis,
+    a row of vecs lies in the span exactly when its remainder is zero.
+    """
+    res = np.asarray(vecs, dtype=np.int64) % n
+    coeffs = np.zeros((res.shape[0], h.shape[0]), dtype=np.int64)
+    for i, j in enumerate(_leading(h)):
+        q = res[:, j] // h[i, j]
+        coeffs[:, i] = q
+        nz = np.flatnonzero(q)
+        if nz.size:
+            res[nz] = (res[nz] - q[nz, None] * h[i][None, :]) % n
+    return coeffs, res
 
 
 @dataclass(frozen=True)
@@ -242,11 +256,10 @@ def solve_linear(a, b, n: int) -> LinearSolution | None:
     if b.shape[0] != a.shape[0]:
         raise ValueError("dimension mismatch between matrix and right-hand side")
     h, u, k = _howell_rows(a.T, n)
-    coeff, ok = _reduce_against(h, b, n)
-    if not ok:
+    coeff, rem = _back_substitute(h, b[None, :], n)
+    if rem.any():
         return None
-    x = coeff @ u % n if h.shape[0] else np.zeros(a.shape[1], dtype=np.int64)
-    return LinearSolution(particular=x, kernel_basis=k)
+    return LinearSolution(particular=coeff[0] @ u % n, kernel_basis=k)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +278,7 @@ def lattice_basis(rows: np.ndarray | list, width: int, n: int) -> np.ndarray:
     arr = np.asarray(rows, dtype=np.int64).reshape(-1, width) % n
     h, _, _ = _howell_rows(arr, n)
     basis = np.diag(np.full(width, n, dtype=np.int64))
-    for row in h:
-        j = int(np.flatnonzero(row)[0])
-        basis[j] = row
+    basis[_leading(h)] = h
     return basis
 
 
@@ -279,19 +290,47 @@ def lattice_coordinates(basis: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarr
     the lattice.
     """
     width = basis.shape[0]
-    res = np.asarray(vecs, dtype=np.int64).reshape(-1, width) % n
-    coords = np.zeros_like(res)
-    for j in range(width):
-        p = int(basis[j, j]) % n or n
-        rem = res[:, j] % p
-        if rem.any():
-            raise ValueError("vector is not in the lattice")
-        q = res[:, j] // p
-        coords[:, j] = q % n
-        nz = np.flatnonzero(q)
-        if nz.size:
-            res[nz] = (res[nz] - q[nz, None] * basis[j][None, :]) % n
+    coords, rem = _back_substitute(basis, np.asarray(vecs, dtype=np.int64).reshape(-1, width), n)
+    if rem.any():
+        raise ValueError("vector is not in the lattice")
     return coords
+
+
+def _clear(a: np.ndarray, k: int, n: int, v: np.ndarray | None = None, w: np.ndarray | None = None):
+    """Clear a[k+1:, k] by unimodular row operations on rows k and below.
+
+    A row whose entry is a multiple of the pivot a[k, k] is reduced against
+    row k; otherwise a gcd step on the pair shrinks the pivot to the gcd.
+    The same row operations act on ``v`` when it is given, and w.T is kept
+    the inverse of v.  ``diagonalize_mod`` clears a row of its matrix as a
+    column of the transposed view, passing its v.T and w = v^{-1}.
+    """
+    mats = (a,) if v is None else (a, v)
+    while True:
+        col = a[k + 1 :, k]
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            return
+        p = int(a[k, k])
+        multiples = nz[col[nz] % p == 0]
+        if multiples.size:
+            rows = multiples + k + 1
+            q = a[rows, k] // p
+            for mat in mats:
+                mat[rows] = (mat[rows] - q[:, None] * mat[k][None, :]) % n
+            if w is not None:
+                # row k of w picks up q_i times each row i
+                w[k] = (w[k] + q @ w[rows]) % n
+            continue
+        i = int(nz[0]) + k + 1
+        b = int(a[i, k])
+        g, x, y = _xgcd(p, b)
+        z, t = -(b // g), p // g
+        # rows (k, i) <- (x*k + y*i, z*k + t*i); det x*t - y*z == 1
+        for mat in mats:
+            mat[k], mat[i] = (x * mat[k] + y * mat[i]) % n, (z * mat[k] + t * mat[i]) % n
+        if w is not None:
+            w[k], w[i] = (t * w[k] - z * w[i]) % n, (-y * w[k] + x * w[i]) % n
 
 
 def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -303,62 +342,12 @@ def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarr
     Everything is computed with entries reduced mod n, which is harmless
     because the lattice contains n*Z^w.
     """
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % n
+    a, n = _matrix(mat, n)
+    a = a % n
     a = a[a.any(axis=1)]
-    width = int(np.atleast_2d(np.asarray(mat)).shape[1])
-    if a.size == 0:
-        a = a.reshape(0, width)
-    m = a.shape[0]
+    m, width = a.shape
     v = np.eye(width, dtype=np.int64)
     w = np.eye(width, dtype=np.int64)
-
-    def clear_column(k):
-        while True:
-            col = a[k + 1 :, k]
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                return
-            p = int(a[k, k])
-            multiples = nz[col[nz] % p == 0]
-            if multiples.size:
-                rows = multiples + k + 1
-                q = a[rows, k] // p
-                a[rows] = (a[rows] - q[:, None] * a[k][None, :]) % n
-                continue
-            i = int(nz[0]) + k + 1
-            g, x, y = _xgcd(p, int(a[i, k]))
-            rk = (x * a[k] + y * a[i]) % n
-            ri = ((-(int(a[i, k]) // g)) * a[k] + (p // g) * a[i]) % n
-            a[k], a[i] = rk, ri
-
-    def clear_row(k):
-        while True:
-            row = a[k, k + 1 :]
-            nz = np.flatnonzero(row)
-            if nz.size == 0:
-                return
-            p = int(a[k, k])
-            multiples = nz[row[nz] % p == 0]
-            if multiples.size:
-                cols = multiples + k + 1
-                q = a[k, cols] // p
-                a[:, cols] = (a[:, cols] - a[:, k][:, None] * q[None, :]) % n
-                v[:, cols] = (v[:, cols] - v[:, k][:, None] * q[None, :]) % n
-                # inverse transform: row k of w picks up q_j times each row j
-                w[k] = (w[k] + q @ w[cols]) % n
-                continue
-            j = int(nz[0]) + k + 1
-            b = int(a[k, j])
-            g, x, y = _xgcd(p, b)
-            z, t = -(b // g), p // g
-            # cols (k, j) <- (x*k + y*j, z*k + t*j); det x*t - y*z == 1
-            ck, cj = (x * a[:, k] + y * a[:, j]) % n, (z * a[:, k] + t * a[:, j]) % n
-            a[:, k], a[:, j] = ck, cj
-            vk, vj = (x * v[:, k] + y * v[:, j]) % n, (z * v[:, k] + t * v[:, j]) % n
-            v[:, k], v[:, j] = vk, vj
-            wk, wj = (t * w[k] - z * w[j]) % n, (-y * w[k] + x * w[j]) % n
-            w[k], w[j] = wk, wj
-
     for k in range(min(m, width)):
         while True:
             # smallest nonzero entry of the trailing block, first in row-major order
@@ -374,9 +363,10 @@ def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarr
                 a[:, [k, j]] = a[:, [j, k]]
                 v[:, [k, j]] = v[:, [j, k]]
                 w[[k, j]] = w[[j, k]]
-            clear_column(k)
+            _clear(a, k, n)
             if a[k, k + 1 :].any():
-                clear_row(k)
+                # column operations on a are row operations on a.T
+                _clear(a.T, k, n, v.T, w)
                 continue
             if a[k + 1 :, k].any():
                 continue

@@ -3,12 +3,12 @@
 Every test hashes deterministic outputs with sha256 and compares the digest
 with one recorded from the reference implementation: the Howell and
 diagonal forms with their transforms, the particular solutions and kernel
-bases of the solvers, cohomology generators and coordinates, the preimage
-that ``classify`` reports for a coboundary, and the CLI's stdout on the
-shipped fixtures.  A refactor of ``zmod`` or ``cochains`` must keep every
-digest.  A change that alters a canonical output on purpose updates the
-digest here and says so in the change log.
-"""
+bases of the solvers, the triangular lattice bases with the coordinates of
+their members (and which vectors lie outside), cohomology generators and
+coordinates, the preimage that ``classify`` reports for a coboundary, and
+the CLI's stdout on the shipped fixtures.  A refactor of ``zmod`` or
+``cochains`` must keep every digest.  A change that alters a canonical
+output on purpose updates the digest here and says so in the change log."""
 
 import hashlib
 import pathlib
@@ -20,7 +20,14 @@ import pytest
 from arithcs.cli import main
 from arithcs.cochains import Coboundary, Cochain, classify, cohomology, differential, solve_differential
 from arithcs.groups import GModuleAction, cyclic, make_hom, symmetric3
-from arithcs.zmod import ModuleOverZn, _howell_rows, diagonalize_mod, solve_linear
+from arithcs.zmod import (
+    ModuleOverZn,
+    _howell_rows,
+    diagonalize_mod,
+    lattice_basis,
+    lattice_coordinates,
+    solve_linear,
+)
 
 FIX = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -140,6 +147,38 @@ def test_solve_linear_digest(n):
         else:
             d.add(sol.particular, sol.kernel_basis)
     assert d.hexdigest() == SOLVE[n]
+
+
+LATTICE = {
+    2: "86732908f635783ce7f180b66883f2cd0d7bc2a2694663b4499d69f8b0db12fc",
+    3: "3016d2f953feeabea58b312fff092a04b119bc584a730a5402055e5f55c40f09",
+    4: "03ff959d9d86e87130b7d995c9f20d4c08df2b3443c986ae5c14bc876791b722",
+    6: "275bc4a008bb0b133a3706ac4d21001e5a276fa795d574cab34718452c1a8f69",
+    8: "52510537f91e10650e3dfdbcc7eb05baf88e2061bef1a39e3ab7f9738cf06329",
+    9: "8ca07b5227d74df826c530c5233a81e56c76677fc3463e1d192fced36e64969d",
+    12: "a93a5218a4e5aca1a9f1d24853c1b5f222c64cc7d4c0c81cb7a18825126df2d6",
+    30: "11cc09c0a3fecf9fd3d8ae6894f33b6e639b69950e27dbb1afd70923bb615d1f",
+    64: "127ead50c901b5fa408c9a83d1d776020147f1eda72abc21795e7257a2c2d295",
+    65536: "c312612ec615d89f5c4348fa64b3d56bf9b8507444a2b520c0c117da59cb82eb",
+}
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_lattice_basis_and_coordinates_digest(n):
+    rng = np.random.default_rng(6000 + n)
+    d = Digest()
+    for mat in random_matrices(n, 60, seed=6000 + n):
+        width = mat.shape[1]
+        basis = lattice_basis(mat, width, n)
+        # members of the lattice, then random vectors, most of them outside it
+        members = rng.integers(0, n, size=(3, width)) @ basis % n
+        d.add(basis, lattice_coordinates(basis, members, n))
+        for x in rng.integers(0, n, size=(3, width)):
+            try:
+                d.add(lattice_coordinates(basis, x[None, :], n))
+            except ValueError:
+                d.add(None)
+    assert d.hexdigest() == LATTICE[n]
 
 
 def cohomology_cases():

@@ -1,12 +1,17 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from arithcs import dataio
 from arithcs.cli import main
+from arithcs.cochains import Cochain
+from arithcs.cstheory import GlobalDatum, PlaceDatum
 from arithcs.fixtures import one_place_fiber_datum
-from arithcs.groups import cyclic, make_hom
+from arithcs.groups import GModuleAction, cyclic, identity_hom, make_hom
+from arithcs.ops import carry_cocycle, cyclic_three_cocycle
+from arithcs.zmod import ModuleOverZn
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -65,6 +70,22 @@ def test_validate_pass_and_fail(capsys):
     code, out, _ = run(capsys, "validate", "--datum", FIX / "broken_reciprocity.json")
     assert code == 2 and "result: INVALID" in out
     assert "reciprocity" in out
+
+
+def test_validate_reports_generator_off_scalar_coefficients(capsys, tmp_path):
+    z2 = cyclic(2)
+    carry = carry_cocycle(2).values
+    gen = Cochain(GModuleAction.trivial(z2, ModuleOverZn(2, (2, 2))), 2, np.hstack([carry, 0 * carry]))
+    place = PlaceDatum(z2, identity_hom(z2), (0,), gen, 1)
+    path = tmp_path / "datum.json"
+    dataio.dump_path(dataio.document_for(GlobalDatum(2, z2, (place,), z2, cyclic_three_cocycle(2))), path)
+    code, out, err = run(capsys, "validate", "--datum", path)
+    assert code == 2 and err == ""
+    assert (
+        "FAIL place 0: h2_generator generates an order-2 summand: "
+        "coefficients are not Z/2 with the trivial action"
+    ) in out
+    assert out.endswith("FAIL reciprocity: skipped: place invariants failed\nresult: INVALID\n")
 
 
 def test_classify_and_bockstein_roundtrip(capsys, tmp_path):

@@ -98,6 +98,14 @@ def _run(argv):
 
 
 CLASSIFY, VALIDATE, QUATERNION = REQUESTS[1], REQUESTS[12], REQUESTS[6]
+CONJUGATE = (["conjugate", "--cochain", "carry_mod3.json", "--element", "0"], 2)
+# carry_mod3.json's objects moved to the order-1 group, with one value
+ORDER_ONE = {
+    "group1": {"type": "group", "order": 1, "mul": [0]},
+    "module1": {"type": "module", "modulus": 3, "orders": [3]},
+    "action1": {"type": "action", "group": "group1", "module": "module1", "trivial": True},
+    "cochain1": {"type": "cochain", "action": "action1", "degree": 200000, "values": [1]},
+}
 
 
 @given(mutated_requests())
@@ -110,6 +118,8 @@ CLASSIFY, VALIDATE, QUATERNION = REQUESTS[1], REQUESTS[12], REQUESTS[6]
 # a non-list places and a non-string main used to escape as TypeError
 @example((*VALIDATE, ("objects", "datum1", "places"), 5))
 @example((*CLASSIFY, ("main",), [1]))
+# a huge degree on the order-1 group used to load, and the ops looped over it
+@example((*CONJUGATE, ("objects",), ORDER_ONE))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_mutated_fixtures_exit_with_documented_codes(case):
     argv, target, path, value = case

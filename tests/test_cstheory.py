@@ -48,14 +48,17 @@ from arithcs.fixtures import (
     toy_rho,
 )
 from arithcs.groups import (
+    GModuleAction,
     GroupHom,
     conjugation_hom,
     cyclic,
+    identity_hom,
     inclusion_hom,
     make_hom,
     trivial_hom,
 )
 from arithcs.ops import carry_cocycle, cyclic_three_cocycle, homotopy
+from arithcs.zmod import ModuleOverZn
 
 
 def test_invariant_value_arithmetic():
@@ -183,6 +186,33 @@ def test_validation_reports_bad_place_data():
     report = validate_global_datum(datum)
     assert not report.passed
     assert any("summand" in c.name for c in report.failures())
+
+
+def _place_off_scalar_coefficients(n):
+    """A place on Z/2 whose h2_generator does not live on Z/n with the trivial action.
+
+    For n = 2 it is (carry, 0) on Z/2 x Z/2, which generates an order-2
+    summand of its own H^2; for n = 3 it is zero on Z/3 twisted by -1.
+    """
+    z2 = cyclic(2)
+    if n == 2:
+        carry = carry_cocycle(2).values
+        gen = Cochain(GModuleAction.trivial(z2, ModuleOverZn(2, (2, 2))), 2, np.hstack([carry, 0 * carry]))
+    else:
+        gen = Cochain.zero(GModuleAction.by_units(z2, ModuleOverZn.cyclic(3), [1, 2]), 2)
+    return PlaceDatum(z2, identity_hom(z2), (0,), gen, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_validation_reports_generator_off_scalar_coefficients(n):
+    # restrictions of global classes live on Z/n with the trivial action and
+    # cannot be compared with such a generator; the place check fails
+    # instead of local_invariant raising from the reciprocity loop
+    datum = GlobalDatum(n, cyclic(2), (_place_off_scalar_coefficients(n),), cyclic(n), cyclic_three_cocycle(n))
+    fails = validate_global_datum(datum).failures()
+    assert [c.name for c in fails] == [f"place 0: h2_generator generates an order-{n} summand", "reciprocity"]
+    assert fails[0].detail == f"coefficients are not Z/{n} with the trivial action"
+    assert fails[1].detail == "skipped: place invariants failed"
 
 
 @pytest.mark.parametrize(

@@ -160,6 +160,20 @@ def _sign_action():
     return GModuleAction.by_character(s3_sign_hom(s3, cyclic(2)), ModuleOverZn.cyclic(4), 3)
 
 
+def _trivial_group_cochain(degree=2):
+    """A one-value cochain on the order-1 group."""
+    return Cochain.zero(GModuleAction.trivial(cyclic(1), ModuleOverZn.cyclic(2)), degree)
+
+
+def test_degree_bound_keeps_every_storable_degree():
+    # the bound is 63 for every group order; cup writes degree 5-6 documents
+    for f in (_trivial_group_cochain(63), Cochain.zero(GModuleAction.trivial(cyclic(2), ModuleOverZn.cyclic(2)), 6)):
+        text = dataio.serialize_object(f)
+        assert dataio.parse(text).resolve_main() == f
+    with pytest.raises(dataio.ValidationError, match="'degree' is 64"):
+        dataio.parse(dataio.serialize_object(_trivial_group_cochain(64)))
+
+
 def test_nontrivial_action_roundtrip():
     f = Cochain.random(_sign_action(), 2, np.random.default_rng(0))
     doc = dataio.document_for(f)
@@ -198,6 +212,7 @@ NOT_STRICT_INTEGERS = {
     "degree_float": (CARRY3, "cochain", "degree", 2.7),
     "degree_negative": (CARRY3, "cochain", "degree", -1),
     "degree_huge": (CARRY3, "cochain", "degree", 10**6),
+    "degree_huge_order_one": (_trivial_group_cochain, "cochain", "degree", 200000),
     "orders_float": (CARRY3, "module", "orders", [3.0]),
     "modulus_str": (CARRY3, "module", "modulus", "3"),
     "trivial_str": (CARRY3, "action", "trivial", "yes"),

@@ -31,12 +31,13 @@ def brute_row_space(mat, n: int) -> set[tuple[int, ...]]:
     return space
 
 
-# the four entries that take (matrix, ..., n), with a zero right-hand side
+# the entries that read a matrix and a modulus, with a zero right-hand side
 ENTRIES = [
     howell_form,
     left_kernel,
     right_kernel,
     lambda a, n: solve_linear(a, np.zeros(np.shape(a)[0], dtype=np.int64), n),
+    diagonalize_mod,
 ]
 
 
@@ -139,6 +140,17 @@ def test_solve_identity():
     assert sol is not None
     assert list(sol.particular) == [1, 2, 3]
     assert sol.kernel_basis.shape[0] == 0
+
+
+def test_solve_without_equations_or_unknowns():
+    # no equations: every x solves, the particular one is zero
+    sol = solve_linear(np.zeros((0, 3), dtype=np.int64), [], 4)
+    assert sol.particular.tolist() == [0, 0, 0] and sol.kernel_basis.shape == (3, 3)
+    sol = solve_linear(np.zeros((0, 0), dtype=np.int64), [], 4)
+    assert sol.particular.shape == (0,) and sol.kernel_basis.shape == (0, 0)
+    # no unknowns: solvable exactly when b == 0
+    assert solve_linear(np.zeros((2, 0), dtype=np.int64), [0, 4], 4).particular.shape == (0,)
+    assert solve_linear(np.zeros((2, 0), dtype=np.int64), [1, 0], 4) is None
 
 
 def test_solve_two_x_equals_one_mod_four_has_no_solution():
