@@ -9,6 +9,7 @@ invariant of finite global/local Galois data by two independent routes
 """
 
 from .zmod import (
+    ComputationError,
     ModuleOverZn,
     howell_form,
     left_kernel,

@@ -4,8 +4,8 @@ Every computation is scriptable: inputs are document files (see dataio),
 outputs are canonical serialized documents or fixed-format text, so repeated
 runs with identical inputs are byte-identical.
 
-Exit codes: 0 success, 2 validation failure, 3 computation error,
-4 parse error or unreadable file.
+Exit codes: 0 success, 2 validation failure, 3 computation error (any
+``ComputationError``), 4 parse error or unreadable file.
 """
 
 from __future__ import annotations
@@ -14,21 +14,9 @@ import argparse
 import sys
 
 from . import dataio
-from .cochains import (
-    Coboundary,
-    Cochain,
-    DegreeBoundError,
-    NonCocycle,
-    classify,
-    cohomology,
-)
+from .cochains import Coboundary, Cochain, NonCocycle, classify, cohomology
 from .cstheory import (
     GlobalDatum,
-    LocallyNontrivialError,
-    NoGlobalTrivializationError,
-    NoLiftError,
-    NotInGeneratedSummandError,
-    NotUnramifiedTrivializableError,
     _section_value,
     cs_invariant,
     cs_section,
@@ -37,24 +25,14 @@ from .cstheory import (
     validate_global_datum,
 )
 from .groups import FiniteGroup, GroupHom
-from .ops import IncompatiblePairingError, NotDivisibleError, bockstein, conjugate, cup, homotopy
+from .ops import bockstein, conjugate, cup, homotopy
 from .verify import run_verification
+from .zmod import ComputationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
 EXIT_PARSE = 4
-
-_COMPUTATION_ERRORS = (
-    DegreeBoundError,
-    IncompatiblePairingError,
-    NotDivisibleError,
-    NotInGeneratedSummandError,
-    NotUnramifiedTrivializableError,
-    NoGlobalTrivializationError,
-    LocallyNontrivialError,
-    NoLiftError,
-)
 
 
 def _load_main(path, cls):
@@ -136,9 +114,10 @@ def _cmd_section(args) -> int:
     datum = _load_main(args.datum, GlobalDatum)
     rho = _load_main(args.rho, GroupHom)
     section = cs_section(datum, rho, solver_seed=args.seed)
+    value = _section_value(datum, rho, section)  # may raise: print nothing before it
     for i, comp in enumerate(section.components):
         _emit(f"component {i}: {comp.values.reshape(-1).tolist()}")
-    _emit(f"class_at_unramified_basepoint: {_section_value(datum, rho, section)}")
+    _emit(f"class_at_unramified_basepoint: {value}")
     return EXIT_OK
 
 
@@ -235,7 +214,7 @@ def main(argv=None) -> int:
     except dataio.ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _COMPUTATION_ERRORS as exc:
+    except ComputationError as exc:
         print(f"error: {type(exc).__name__.removesuffix('Error')}: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     except OSError as exc:

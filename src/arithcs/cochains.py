@@ -23,6 +23,7 @@ import numpy as np
 
 from .groups import FiniteGroup, GModuleAction, GroupHom
 from .zmod import (
+    ComputationError,
     diagonalize_mod,
     lattice_basis,
     lattice_coordinates,
@@ -35,7 +36,7 @@ from .zmod import (
 DEFAULT_DEGREE_CAP = 4
 
 
-class DegreeBoundError(ValueError):
+class DegreeBoundError(ComputationError):
     """Raised when an operation would exceed the configured degree cap."""
 
 
@@ -106,9 +107,12 @@ class Cochain:
     def __call__(self, *args) -> np.ndarray:
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments")
+        m = self.group.order
         idx = 0
-        for g in args:
-            idx = idx * self.group.order + int(g)
+        for g in map(int, args):
+            if not 0 <= g < m:
+                raise ValueError(f"element {g} is outside [0, {m})")
+            idx = idx * m + g
         return self.values[idx]
 
     def __eq__(self, other):

@@ -35,29 +35,29 @@ from .cochains import (
     _scaled,
     _scaled_differential,
 )
-from .groups import FiniteGroup, GModuleAction, GroupHom, cyclic, make_hom
+from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
-from .zmod import MAX_MODULUS, ModuleOverZn, NotDivisibleError, solve_linear
+from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, NotDivisibleError, solve_linear
 
 
-class NotInGeneratedSummandError(ValueError):
+class NotInGeneratedSummandError(ComputationError):
     """A class has a component outside the place's declared cyclic summand."""
 
 
-class NotUnramifiedTrivializableError(ValueError):
+class NotUnramifiedTrivializableError(ComputationError):
     """Restriction does not kill inertia, or the inertia-free quotient has
     nonvanishing H^2 or H^3, so no canonical trivialization exists."""
 
 
-class NoGlobalTrivializationError(ValueError):
+class NoGlobalTrivializationError(ComputationError):
     """The pulled-back 3-cocycle is nontrivial on the global group."""
 
 
-class LocallyNontrivialError(ValueError):
+class LocallyNontrivialError(ComputationError):
     """Some local pullback of the 3-cocycle is not even locally a coboundary."""
 
 
-class NoLiftError(ValueError):
+class NoLiftError(ComputationError):
     """No lift to Z/m^2 exists; the obstruction class is nontrivial."""
 
 
@@ -260,7 +260,7 @@ def validate_global_datum(datum: GlobalDatum) -> ValidationReport:
     checks: list[CheckResult] = []
     n = datum.modulus
 
-    dcoc = differential(datum.three_cocycle, degree_cap=4)
+    dcoc = differential(datum.three_cocycle)
     checks.append(
         CheckResult(
             "gauge three_cocycle is a cocycle",
@@ -274,7 +274,7 @@ def validate_global_datum(datum: GlobalDatum) -> ValidationReport:
         try:
             make_hom(place.embedding.dom, place.embedding.cod, place.embedding.map)
             hom_ok = True
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
+        except NotAHomError as exc:
             hom_ok = False
             checks.append(CheckResult(f"{tag}: embedding is a hom", False, str(exc)))
         if hom_ok:

@@ -15,6 +15,11 @@ type the field needs), group axioms, homomorphism laws, action axioms, and
 cocycle conditions where the format declares them (place generators and
 gauge 3-cocycles).
 
+``document_for`` names each object ``<kind><k>`` (``group1``, ``hom2``;
+``datum<k>`` for a global_datum), numbering every kind from 1 in the order a
+depth-first walk from the main object, through fields in entry order, first
+reaches its objects; an object reached twice is stored once.
+
 Cochain values are stored flattened in lexicographic tuple order, module
 coordinates fastest; groups are stored as row-major multiplication tables
 whose element order defines every other table in the document.
@@ -29,15 +34,7 @@ import numpy as np
 
 from .cochains import Cochain, differential
 from .cstheory import GlobalDatum, PlaceDatum
-from .groups import (
-    FiniteGroup,
-    GModuleAction,
-    GroupHom,
-    NotAGroupError,
-    NotAHomError,
-    make_group,
-    make_hom,
-)
+from .groups import FiniteGroup, GModuleAction, GroupHom, make_group, make_hom
 from .zmod import ModuleOverZn
 
 FORMAT_VERSION = 1
@@ -89,87 +86,67 @@ class Document:
 # Encoding.
 
 
-def _encode_obj(obj, names: dict[int, str], out: dict[str, dict], counters: dict[str, int]) -> str:
-    key = id(obj)
-    if key in names:
-        return names[key]
-
-    def fresh(kind: str) -> str:
-        counters[kind] = counters.get(kind, 0) + 1
-        return f"{kind}{counters[kind]}"
-
+def _fields(obj, ref) -> dict:
+    """The entry of ``obj`` without its name; ``ref(part)`` names a part."""
     if isinstance(obj, FiniteGroup):
-        name = fresh("group")
-        names[key] = name
-        out[name] = {"type": "group", "order": obj.order, "mul": obj.mul.reshape(-1).tolist()}
-    elif isinstance(obj, ModuleOverZn):
-        name = fresh("module")
-        names[key] = name
-        out[name] = {"type": "module", "modulus": obj.modulus, "orders": list(obj.orders)}
-    elif isinstance(obj, GroupHom):
-        name = fresh("hom")
-        names[key] = name
-        out[name] = {
-            "type": "hom",
-            "dom": _encode_obj(obj.dom, names, out, counters),
-            "cod": _encode_obj(obj.cod, names, out, counters),
-            "map": obj.map.tolist(),
-        }
-    elif isinstance(obj, GModuleAction):
-        name = fresh("action")
-        names[key] = name
-        entry = {
-            "type": "action",
-            "group": _encode_obj(obj.group, names, out, counters),
-            "module": _encode_obj(obj.module, names, out, counters),
-        }
+        return {"type": "group", "order": obj.order, "mul": obj.mul.reshape(-1).tolist()}
+    if isinstance(obj, ModuleOverZn):
+        return {"type": "module", "modulus": obj.modulus, "orders": list(obj.orders)}
+    if isinstance(obj, GroupHom):
+        return {"type": "hom", "dom": ref(obj.dom), "cod": ref(obj.cod), "map": obj.map.tolist()}
+    if isinstance(obj, GModuleAction):
+        entry = {"type": "action", "group": ref(obj.group), "module": ref(obj.module)}
         if obj.is_trivial():
             entry["trivial"] = True
         else:
             entry["matrices"] = obj.matrices.reshape(obj.group.order, -1).tolist()
-        out[name] = entry
-    elif isinstance(obj, Cochain):
-        name = fresh("cochain")
-        names[key] = name
-        out[name] = {
+        return entry
+    if isinstance(obj, Cochain):
+        return {
             "type": "cochain",
-            "action": _encode_obj(obj.coeffs, names, out, counters),
+            "action": ref(obj.coeffs),
             "degree": obj.degree,
             "values": obj.values.reshape(-1).tolist(),
         }
-    elif isinstance(obj, PlaceDatum):
-        name = fresh("place")
-        names[key] = name
-        out[name] = {
+    if isinstance(obj, PlaceDatum):
+        return {
             "type": "place",
-            "local_group": _encode_obj(obj.local_group, names, out, counters),
-            "embedding": _encode_obj(obj.embedding, names, out, counters),
+            "local_group": ref(obj.local_group),
+            "embedding": ref(obj.embedding),
             "inertia": list(obj.inertia),
-            "h2_generator": _encode_obj(obj.h2_generator, names, out, counters),
+            "h2_generator": ref(obj.h2_generator),
             "inv_normalization": obj.inv_normalization,
         }
-    elif isinstance(obj, GlobalDatum):
-        name = fresh("datum")
-        names[key] = name
-        out[name] = {
+    if isinstance(obj, GlobalDatum):
+        return {
             "type": "global_datum",
             "modulus": obj.modulus,
-            "global_group": _encode_obj(obj.global_group, names, out, counters),
-            "places": [_encode_obj(p, names, out, counters) for p in obj.places],
-            "gauge_group": _encode_obj(obj.gauge_group, names, out, counters),
-            "three_cocycle": _encode_obj(obj.three_cocycle, names, out, counters),
+            "global_group": ref(obj.global_group),
+            "places": [ref(p) for p in obj.places],
+            "gauge_group": ref(obj.gauge_group),
+            "three_cocycle": ref(obj.three_cocycle),
         }
-    else:
-        raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
-    return names[key]
+    raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def document_for(obj) -> Document:
     """Build a self-contained document around one main object."""
     names: dict[int, str] = {}
     raw: dict[str, dict] = {}
-    counters: dict[str, int] = {}
-    main = _encode_obj(obj, names, raw, counters)
+    counts: dict[str, int] = {}
+
+    def name(part) -> str:
+        if id(part) not in names:
+            # a part is numbered after its own parts; no kind refers to its
+            # own kind, so the numbers equal those of naming it first
+            entry = _fields(part, name)
+            kind = "datum" if entry["type"] == "global_datum" else entry["type"]
+            counts[kind] = counts.get(kind, 0) + 1
+            names[id(part)] = f"{kind}{counts[kind]}"
+            raw[names[id(part)]] = entry
+        return names[id(part)]
+
+    main = name(obj)
     return Document(raw=raw, objects=_resolve_all(raw), main=main)
 
 
@@ -243,7 +220,7 @@ def _resolve_all(raw_objects: dict) -> dict[str, object]:
             obj = _build(kind, entry, name, resolve)
         except ValidationError:
             raise
-        except (NotAGroupError, NotAHomError, ValueError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"object {name!r}: {exc}") from exc
         resolving.discard(name)
         resolved[name] = obj

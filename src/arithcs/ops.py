@@ -24,10 +24,10 @@ import numpy as np
 
 from .cochains import Cochain, DegreeBoundError, _digits, _encode, decode_index, differential
 from .groups import GModuleAction, conjugation_hom
-from .zmod import MAX_MODULUS, ModuleOverZn, NotDivisibleError
+from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, NotDivisibleError
 
 
-class IncompatiblePairingError(ValueError):
+class IncompatiblePairingError(ComputationError):
     """Cup factors whose coefficients admit no canonical pairing."""
 
 

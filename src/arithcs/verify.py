@@ -53,9 +53,10 @@ def _corpus():
     ]
 
 
-def run_checks(seed: int, *, samples: int = 10):
+def run_checks(seed: int):
     """Yield (name, passed, detail) triples; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
+    samples = 10
 
     for name, group in _corpus():
         coeffs = GModuleAction.trivial(group, ModuleOverZn.cyclic(4))
@@ -151,14 +152,14 @@ def run_checks(seed: int, *, samples: int = 10):
     yield "broken reciprocity fixture rejected with a witness", ok, ""
 
 
-def run_verification(seed: int, out=print) -> bool:
+def run_verification(seed: int) -> bool:
     all_ok = True
     for name, ok, detail in run_checks(seed):
         status = "ok" if ok else "FAIL"
         line = f"{status:4s} {name}"
         if detail:
             line += f" ({detail})"
-        out(line)
+        print(line)
         all_ok = all_ok and ok
-    out("verification " + ("passed" if all_ok else "FAILED"))
+    print("verification " + ("passed" if all_ok else "FAILED"))
     return all_ok

@@ -32,7 +32,14 @@ import numpy as np
 MAX_MODULUS = 1 << 16
 
 
-class NotDivisibleError(ArithmeticError):
+class ComputationError(ValueError):
+    """Valid input on which the requested computation has no answer.
+
+    Every such error derives from this class; the CLI exits 3 on it.
+    """
+
+
+class NotDivisibleError(ComputationError, ArithmeticError):
     """An exact division over Z/n is impossible.
 
     Raised by the Bockstein when the numerator is not divisible by n (the

@@ -4,14 +4,22 @@ import pathlib
 import numpy as np
 import pytest
 
-from arithcs import dataio
+from arithcs import cli, dataio
 from arithcs.cli import main
-from arithcs.cochains import Cochain
-from arithcs.cstheory import GlobalDatum, PlaceDatum
-from arithcs.fixtures import one_place_fiber_datum
+from arithcs.cochains import Cochain, DegreeBoundError, pullback
+from arithcs.cstheory import (
+    GlobalDatum,
+    LocallyNontrivialError,
+    NoGlobalTrivializationError,
+    NoLiftError,
+    NotInGeneratedSummandError,
+    NotUnramifiedTrivializableError,
+    PlaceDatum,
+)
+from arithcs.fixtures import one_place_fiber_datum, order_two_place
 from arithcs.groups import GModuleAction, cyclic, identity_hom, make_hom
-from arithcs.ops import carry_cocycle, cyclic_three_cocycle
-from arithcs.zmod import ModuleOverZn
+from arithcs.ops import IncompatiblePairingError, NotDivisibleError, carry_cocycle, cyclic_three_cocycle
+from arithcs.zmod import ComputationError, ModuleOverZn
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -62,6 +70,19 @@ def test_section_solves_the_global_system_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "section", "--datum", FIX / "toy_datum.json", "--rho", FIX / "toy_rho.json")
     assert code == 0
     assert solves == [(4, 2), (1, 2), (1, 2)]  # one global solve, one per place on its quotient
+
+
+def test_section_prints_nothing_when_the_basepoint_class_fails(capsys, tmp_path):
+    # the section exists, but no canonical unramified trivialization does
+    z4 = cyclic(4)
+    c = pullback(make_hom(z4, cyclic(2), [0, 1, 0, 1]), cyclic_three_cocycle(2))
+    datum, rho = tmp_path / "datum.json", tmp_path / "rho.json"
+    dataio.dump_path(dataio.document_for(GlobalDatum(2, z4, (order_two_place(z4, 2),), z4, c)), datum)
+    dataio.dump_path(dataio.document_for(identity_hom(z4)), rho)
+    code, out, err = run(capsys, "section", "--datum", datum, "--rho", rho)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: NotUnramifiedTrivializable: ")
 
 
 def test_validate_pass_and_fail(capsys):
@@ -138,6 +159,38 @@ def test_invariant_computation_error_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "invariant", "--datum", fiber, "--rho", rho)
     assert code == 3
     assert "NoGlobalTrivialization" in err
+
+
+def _computation_errors(cls=ComputationError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _computation_errors(sub)
+
+
+def test_computation_errors_cover_every_exit_3_error():
+    old_exit_3 = {
+        DegreeBoundError,
+        IncompatiblePairingError,
+        NotDivisibleError,
+        NotInGeneratedSummandError,
+        NotUnramifiedTrivializableError,
+        NoGlobalTrivializationError,
+        LocallyNontrivialError,
+        NoLiftError,
+    }
+    assert old_exit_3 <= set(_computation_errors())
+
+
+@pytest.mark.parametrize("error", list(_computation_errors()), ids=lambda cls: cls.__name__)
+def test_every_computation_error_exits_3(capsys, monkeypatch, error):
+    def fail(coeffs, degree):
+        raise error("no answer")
+
+    monkeypatch.setattr(cli, "cohomology", fail)
+    code, out, err = run(capsys, "cohomology", "--group", FIX / "z2_group.json", "--modulus", 2, "--degree", 1)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {error.__name__.removesuffix('Error')}: no answer\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -105,6 +105,14 @@ def test_matrix_agrees_with_gather(coeffs):
             assert np.array_equal((a @ f.values.reshape(-1)) % n, gathered % n)
 
 
+def test_call_rejects_elements_outside_the_group():
+    f = Cochain.random(triv(Z4, 4), 2, np.random.default_rng(0))
+    assert f(1, 3).tolist() == f.values[1 * 4 + 3].tolist()
+    for args in [(0, 7), (-1, 0), (9, 9), (4, 0)]:
+        with pytest.raises(ValueError, match="outside"):
+            f(*args)
+
+
 def test_degree_cap():
     f = Cochain.zero(triv(Z2, 2), 4)
     with pytest.raises(DegreeBoundError):

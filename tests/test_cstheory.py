@@ -215,6 +215,16 @@ def test_validation_reports_generator_off_scalar_coefficients(n):
     assert fails[1].detail == "skipped: place invariants failed"
 
 
+def test_validation_reports_embedding_that_is_not_a_hom():
+    place = PlaceDatum(cyclic(2), GroupHom(cyclic(2), cyclic(4), [0, 1]), (0, 1), carry_cocycle(2), 1)
+    datum = GlobalDatum(2, cyclic(4), (place,), cyclic(2), cyclic_three_cocycle(2))
+    report = validate_global_datum(datum)
+    lines = report.format().splitlines()
+    assert "FAIL place 0: embedding is a hom: homomorphism law fails at witness pair (1, 1)" in lines
+    assert [c.name for c in report.failures()] == ["place 0: embedding is a hom", "reciprocity"]
+    assert report.failures()[1].detail == "skipped: place invariants failed"
+
+
 @pytest.mark.parametrize(
     "factory", [toy_global_datum, toy_abelian_datum, quaternion_datum]
 )
