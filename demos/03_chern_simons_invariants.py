@@ -9,6 +9,7 @@ every choice involved.
 
 from arithcs import (
     classify,
+    cohomology,
     conjugation_hom,
     cs_invariant,
     cs_section,
@@ -66,9 +67,11 @@ base = unramified_basepoint(toy, rho)
 print("section class:", pushout_value(toy, torsor_difference(toy, base, section)))
 
 # The fiber over (c o rho_v)_v is a torsor under the product of local H^2
-# groups; torsor_build returns a canonical member plus that structure.
-structure = torsor_build(toy, local_pullbacks(toy, rho))
-print("H^2_S invariant factors per place:", structure.h2_invariant_factors)
+# groups; torsor_build returns its canonical member, one cochain per place,
+# and the acting group is read off each place's H^2.
+member = torsor_build(toy, local_pullbacks(toy, rho))
+factors = tuple(cohomology(p.h2_generator.coeffs, 2).invariant_factors for p in toy.places)
+print("H^2_S invariant factors per place:", factors)
 
 # --- the closed-case boundary ------------------------------------------------
 # When the pulled-back 3-cocycle is NOT globally trivial, the gluing does not

@@ -30,7 +30,7 @@ print("d(b) = f*(delta alpha):", differential(b) == pullback(f, carry_cocycle(2)
 print("d(t) = f*(alpha cup delta alpha):", differential(t) == pullback(f, cyclic_three_cocycle(2)))
 
 # The automatic search solves d(u) = -f*(delta alpha) and assembles the lift:
-b_auto, t_auto = kummer_trivialization(f, "auto")
+b_auto, t_auto = kummer_trivialization(f)
 print("auto-lifted b =", b_auto.values.reshape(-1).tolist())
 print("auto t still works:", differential(t_auto) == pullback(f, cyclic_three_cocycle(2)))
 
@@ -39,15 +39,15 @@ print("auto t still works:", differential(t_auto) == pullback(f, cyclic_three_co
 ident = make_hom(cyclic(2), cyclic(2), [0, 1])
 print("\nobstruction class:", classify(pullback(ident, carry_cocycle(2))))
 try:
-    kummer_trivialization(ident, "auto")
+    kummer_trivialization(ident)
 except NoLiftError as exc:
     print("no lift, as it must be:", exc)
 
 # Trivial characters lift trivially:
-b0, t0 = kummer_trivialization(trivial_hom(cyclic(6), cyclic(3)), "auto")
+b0, t0 = kummer_trivialization(trivial_hom(cyclic(6), cyclic(3)))
 print("\ntrivial character gives b = 0, t = 0:", b0.is_zero() and t0.is_zero())
 
 # The same works at odd primes; here mod 3 with domain Z/9:
 f9 = make_hom(cyclic(9), cyclic(3), [0, 1, 2, 0, 1, 2, 0, 1, 2])
-b9, t9 = kummer_trivialization(f9, "auto")
+b9, t9 = kummer_trivialization(f9)
 print("mod 3 trivialization checks:", differential(t9) == pullback(f9, cyclic_three_cocycle(3)))

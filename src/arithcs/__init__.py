@@ -71,7 +71,6 @@ from .cstheory import (
     NotInGeneratedSummandError,
     NotUnramifiedTrivializableError,
     PlaceDatum,
-    TorsorElement,
     cs_invariant,
     cs_section,
     invariant_section_class,

@@ -115,7 +115,7 @@ def _cmd_section(args) -> int:
     rho = _load_main(args.rho, GroupHom)
     section = cs_section(datum, rho, solver_seed=args.seed)
     value = _section_value(datum, rho, section)  # may raise: print nothing before it
-    for i, comp in enumerate(section.components):
+    for i, comp in enumerate(section):
         _emit(f"component {i}: {comp.values.reshape(-1).tolist()}")
     _emit(f"class_at_unramified_basepoint: {value}")
     return EXIT_OK
@@ -123,7 +123,7 @@ def _cmd_section(args) -> int:
 
 def _cmd_kummer(args) -> int:
     f = _load_main(args.hom, GroupHom)
-    lift = "auto" if args.lift is None else _load_main(args.lift, GroupHom)
+    lift = None if args.lift is None else _load_main(args.lift, GroupHom)
     b, t = kummer_trivialization(f, lift)
     _emit(f"b: {b.values.reshape(-1).tolist()}")
     _emit(f"t: {t.values.reshape(-1).tolist()}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,17 @@ DEFAULT_DEGREE_CAP = 4
 
 class DegreeBoundError(ComputationError):
     """Raised when an operation would exceed the configured degree cap."""
+
+
+def _element(x) -> int:
+    """A group element argument as an int: any integer, numpy ones included,
+    but not a bool or a float, which would otherwise be truncated silently."""
+    if isinstance(x, bool):
+        raise ValueError(f"element {x!r} is a bool, not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"element {x!r} is not an integer") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,7 +121,7 @@ class Cochain:
             raise ValueError(f"expected {self.degree} arguments")
         m = self.group.order
         idx = 0
-        for g in map(int, args):
+        for g in map(_element, args):
             if not 0 <= g < m:
                 raise ValueError(f"element {g} is outside [0, {m})")
             idx = idx * m + g

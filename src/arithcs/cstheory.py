@@ -37,7 +37,7 @@ from .cochains import (
 )
 from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
-from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, NotDivisibleError, solve_linear
+from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, solve_linear
 
 
 class NotInGeneratedSummandError(ComputationError):
@@ -270,15 +270,12 @@ def validate_global_datum(datum: GlobalDatum) -> ValidationReport:
 
     for i, place in enumerate(datum.places):
         tag = f"place {i}"
-        inj = place.embedding.is_injective()
         try:
             make_hom(place.embedding.dom, place.embedding.cod, place.embedding.map)
-            hom_ok = True
         except NotAHomError as exc:
-            hom_ok = False
             checks.append(CheckResult(f"{tag}: embedding is a hom", False, str(exc)))
-        if hom_ok:
-            checks.append(CheckResult(f"{tag}: embedding is an injective hom", inj))
+        else:
+            checks.append(CheckResult(f"{tag}: embedding is an injective hom", place.embedding.is_injective()))
         checks.append(
             CheckResult(
                 f"{tag}: inertia is a subgroup",
@@ -348,28 +345,8 @@ def validate_global_datum(datum: GlobalDatum) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Torsor fiber machinery.
-
-
-@dataclass(frozen=True)
-class TorsorElement:
-    """A per-place tuple of degree-2 cochains, one fiber member mod coboundaries."""
-
-    components: tuple[Cochain, ...]
-
-    def __sub__(self, other: "TorsorElement") -> "TorsorElement":
-        return TorsorElement(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __add__(self, other: "TorsorElement") -> "TorsorElement":
-        return TorsorElement(tuple(a + b for a, b in zip(self.components, other.components)))
-
-
-@dataclass(frozen=True)
-class TorsorStructure:
-    """torsor_build output: a canonical member plus the acting group H^2_S."""
-
-    member: TorsorElement
-    h2_invariant_factors: tuple[tuple[int, ...], ...]
+# Torsor fiber machinery.  A fiber member is a tuple of degree-2 cochains, one
+# per place in ``datum.places`` order.
 
 
 def local_pullbacks(datum: GlobalDatum, rho: GroupHom) -> tuple[GroupHom, ...]:
@@ -377,16 +354,16 @@ def local_pullbacks(datum: GlobalDatum, rho: GroupHom) -> tuple[GroupHom, ...]:
     return tuple(rho.compose(p.embedding) for p in datum.places)
 
 
-def torsor_build(datum: GlobalDatum, rho_locals) -> TorsorStructure:
-    """One canonical member of the fiber over (c o rho_v)_v plus its acting group.
+def torsor_build(datum: GlobalDatum, rho_locals) -> tuple[Cochain, ...]:
+    """The canonical member of the fiber over (c o rho_v)_v.
 
-    The member is the canonical solver output of d(x_v) = c o rho_v per place;
-    LocallyNontrivialError if some place pullback is not a coboundary.
+    One degree-2 cochain per place, in ``datum.places`` order: the canonical
+    solver output of d(x_v) = c o rho_v.  The fiber is a torsor under the
+    product of the places' H^2 groups.  LocallyNontrivialError if some place
+    pullback is not a coboundary.
     """
-    rho_locals = tuple(rho_locals)
     members = []
-    factors = []
-    for place, rho_v in zip(datum.places, rho_locals):
+    for place, rho_v in zip(datum.places, rho_locals, strict=True):
         if rho_v.dom != place.local_group or rho_v.cod != datum.gauge_group:
             raise ValueError("local homomorphism does not match the place")
         c_v = pullback(rho_v, datum.three_cocycle)
@@ -396,41 +373,37 @@ def torsor_build(datum: GlobalDatum, rho_locals) -> TorsorStructure:
                 "the 3-cocycle pullback is not a coboundary on the local group"
             )
         members.append(x)
-        factors.append(cohomology(place.h2_generator.coeffs, 2).invariant_factors)
-    return TorsorStructure(TorsorElement(tuple(members)), tuple(factors))
+    return tuple(members)
 
 
-def element_in_fiber(datum: GlobalDatum, rho_locals, x: TorsorElement) -> bool:
+def element_in_fiber(datum: GlobalDatum, rho_locals, x: tuple[Cochain, ...]) -> bool:
     """Membership in d^{-1}(c o rho_S): d of each component matches exactly."""
-    for place, rho_v, comp in zip(datum.places, rho_locals, x.components):
-        if differential(comp) != pullback(rho_v, datum.three_cocycle):
-            return False
-    return True
+    per_place = zip(datum.places, rho_locals, x, strict=True)
+    # a list, not a generator, so that a length mismatch raises even past a failed component
+    return all([differential(comp) == pullback(rho_v, datum.three_cocycle) for _, rho_v, comp in per_place])
 
 
-def torsor_map(datum: GlobalDatum, avec, x: TorsorElement, rho_locals) -> TorsorElement:
+def torsor_map(datum: GlobalDatum, avec, x: tuple[Cochain, ...], rho_locals) -> tuple[Cochain, ...]:
     """The action of a = (a_v) in A^S: x_v -> x_v + h_{a_v} o rho_v.
 
     h_{a_v} is the conjugation homotopy of the 3-cocycle, so the output lies
     in the fiber over (c o Ad_{a_v} o rho_v)_v; composition holds up to local
     coboundaries.
     """
-    avec = [int(a) for a in avec]
-    out = []
-    for a_v, place, rho_v, comp in zip(avec, datum.places, rho_locals, x.components):
-        h = homotopy([a_v], datum.three_cocycle)
-        out.append(comp + pullback(rho_v, h))
-    return TorsorElement(tuple(out))
+    return tuple(
+        comp + pullback(rho_v, homotopy([a_v], datum.three_cocycle))
+        for a_v, _, rho_v, comp in zip(avec, datum.places, rho_locals, x, strict=True)
+    )
 
 
-def torsor_difference(datum: GlobalDatum, x: TorsorElement, y: TorsorElement):
+def torsor_difference(datum: GlobalDatum, x: tuple[Cochain, ...], y: tuple[Cochain, ...]):
     """The H^2_S element moving y to x: per-place class coordinates of x_v - y_v.
 
     Both arguments must lie in the same fiber; the difference of components
     is then a cocycle, classified through H^2 of each local group.
     """
     out = []
-    for place, a, b in zip(datum.places, x.components, y.components):
+    for place, a, b in zip(datum.places, x, y, strict=True):
         diff = a - b
         if not differential(diff).is_zero():
             raise ValueError("torsor elements do not lie in the same fiber")
@@ -442,7 +415,7 @@ def torsor_difference(datum: GlobalDatum, x: TorsorElement, y: TorsorElement):
 def pushout_value(datum: GlobalDatum, coords_per_place) -> InvariantValue:
     """Sum map composed with the declared invariants on an H^2_S element."""
     total = InvariantValue(0, datum.modulus)
-    for place, coords in zip(datum.places, coords_per_place):
+    for place, coords in zip(datum.places, coords_per_place, strict=True):
         total = total + h2_class_value(place, coords)
     return total
 
@@ -486,11 +459,9 @@ def unramified_trivialization(datum: GlobalDatum, place: PlaceDatum, rho: GroupH
     return pullback(proj, b_bar)
 
 
-def unramified_basepoint(datum: GlobalDatum, rho: GroupHom) -> TorsorElement:
+def unramified_basepoint(datum: GlobalDatum, rho: GroupHom) -> tuple[Cochain, ...]:
     """The tuple of canonical unramified trivializations (b_v)_v."""
-    return TorsorElement(
-        tuple(unramified_trivialization(datum, p, rho) for p in datum.places)
-    )
+    return tuple(unramified_trivialization(datum, p, rho) for p in datum.places)
 
 
 def _global_trivialization(datum: GlobalDatum, rho: GroupHom, solver_seed) -> Cochain:
@@ -532,7 +503,7 @@ def cs_invariant(datum: GlobalDatum, rho: GroupHom, *, solver_seed: int | None =
 # The torsor pipeline.
 
 
-def cs_section(datum: GlobalDatum, rho: GroupHom, *, solver_seed: int | None = None) -> TorsorElement:
+def cs_section(datum: GlobalDatum, rho: GroupHom, *, solver_seed: int | None = None) -> tuple[Cochain, ...]:
     """The global section: solve d(beta) = c o rho, restrict to every place.
 
     Its class in the pushout torsor does not depend on the choice of beta:
@@ -540,7 +511,7 @@ def cs_section(datum: GlobalDatum, rho: GroupHom, *, solver_seed: int | None = N
     invariants summing to zero by reciprocity.
     """
     beta = _global_trivialization(datum, rho, solver_seed)
-    return TorsorElement(tuple(p.restrict(beta) for p in datum.places))
+    return tuple(p.restrict(beta) for p in datum.places)
 
 
 def section_class(datum: GlobalDatum, rho: GroupHom, *, solver_seed: int | None = None) -> InvariantValue:
@@ -553,7 +524,7 @@ def section_class(datum: GlobalDatum, rho: GroupHom, *, solver_seed: int | None 
     return _section_value(datum, rho, cs_section(datum, rho, solver_seed=solver_seed))
 
 
-def _section_value(datum: GlobalDatum, rho: GroupHom, section: TorsorElement) -> InvariantValue:
+def _section_value(datum: GlobalDatum, rho: GroupHom, section: tuple[Cochain, ...]) -> InvariantValue:
     """The pushout class of ``section`` written at the unramified basepoint."""
     base = unramified_basepoint(datum, rho)
     return pushout_value(datum, torsor_difference(datum, base, section))
@@ -589,10 +560,10 @@ def _require_standard_cyclic(group: FiniteGroup, what: str) -> int:
     return m
 
 
-def kummer_trivialization(f: GroupHom, lift: GroupHom | str = "auto") -> tuple[Cochain, Cochain]:
+def kummer_trivialization(f: GroupHom, lift: GroupHom | None = None) -> tuple[Cochain, Cochain]:
     """Trivialize f*(alpha cup delta alpha) from a lift of f to Z/m^2.
 
-    f must land in the standard cyclic group Z/m.  With lift="auto" a lift
+    f must land in the standard cyclic group Z/m.  With lift=None a lift
     f~: dom -> Z/m^2 of f is found by solving d(u) = -f*(delta alpha) (the
     lift exists iff that obstruction class is a coboundary; otherwise
     NoLiftError, which is meaningful: the obstruction is the pulled-back
@@ -609,9 +580,7 @@ def kummer_trivialization(f: GroupHom, lift: GroupHom | str = "auto") -> tuple[C
     dom = f.dom
     coeffs = scalar_coefficients(dom, m)
     carry_pull = pullback(f, carry_cocycle(m))
-    if isinstance(lift, str):
-        if lift != "auto":
-            raise ValueError("lift must be a GroupHom or the string 'auto'")
+    if lift is None:
         u = solve_differential(coeffs, 1, Cochain(coeffs, 2, -carry_pull.values))
         if u is None:
             raise NoLiftError(
@@ -620,15 +589,16 @@ def kummer_trivialization(f: GroupHom, lift: GroupHom | str = "auto") -> tuple[C
             )
         lift_map = (f.map + m * u.values.reshape(-1)) % (m * m)
         lift = make_hom(dom, cyclic(m * m), lift_map)
+    elif not isinstance(lift, GroupHom):
+        raise ValueError("lift must be a GroupHom or None")
     else:
         _require_standard_cyclic(lift.cod, "the codomain of the lift")
         if lift.cod.order != m * m or lift.dom != dom:
             raise ValueError(f"lift must map the same domain into Z/{m * m}")
         if ((lift.map % m) != f.map).any():
             raise ValueError("lift does not reduce to f")
+    # lift.map % m == f.map (checked above, or by construction), so m divides diff
     diff = (f.map - lift.map) % (m * m)
-    if (diff % m).any():
-        raise NotDivisibleError(f"s o f - f~ is not divisible by {m}")
     b = Cochain(coeffs, 1, (diff // m).reshape(-1, 1))
     if differential(b) != carry_pull:
         raise NoLiftError("d(b) != f*(carry): the lift is not a homomorphism lifting f")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochains import Cochain, DegreeBoundError, _digits, _encode, decode_index, differential
+from .cochains import Cochain, DegreeBoundError, _digits, _element, _encode, decode_index, differential
 from .groups import GModuleAction, conjugation_hom
 from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, NotDivisibleError
 
@@ -191,7 +191,7 @@ def homotopy(avec, f: Cochain) -> Cochain:
     the h's satisfy the coboundary relations tying h_{ab,f} to h_{a,f} and
     h_{b,f}.
     """
-    avec = [int(a) for a in avec]
+    avec = [_element(a) for a in avec]
     k = len(avec)
     if k < 1:
         raise ValueError("need at least one group element")

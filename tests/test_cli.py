@@ -151,6 +151,15 @@ def test_kummer_subcommand_and_no_lift(capsys, tmp_path):
     assert "NoLift" in err
 
 
+def test_kummer_lift_that_does_not_reduce_exits_2(capsys, tmp_path):
+    lift = tmp_path / "lift.json"
+    dataio.dump_path(dataio.document_for(make_hom(cyclic(4), cyclic(4), [0, 2, 0, 2])), lift)
+    code, out, err = run(capsys, "kummer", "--hom", FIX / "z4_to_z2.json", "--lift", lift)
+    assert code == 2
+    assert out == ""
+    assert "does not reduce to f" in err
+
+
 def test_invariant_computation_error_exit_code(capsys, tmp_path):
     fiber = tmp_path / "fiber.json"
     rho = tmp_path / "rho.json"

@@ -113,6 +113,15 @@ def test_call_rejects_elements_outside_the_group():
             f(*args)
 
 
+def test_call_reads_elements_strictly():
+    # numpy integers are elements; a bool or a float is not, not even 1.0
+    f = Cochain.random(triv(Z4, 4), 2, np.random.default_rng(0))
+    assert f(np.int64(1), np.uint8(3)).tolist() == f(1, 3).tolist()
+    for args in [(1.9, 2), (1.0, 2), (True, 2), (np.True_, 2), ("1", 2), (None, 2)]:
+        with pytest.raises(ValueError, match="not an integer"):
+            f(*args)
+
+
 def test_degree_cap():
     f = Cochain.zero(triv(Z2, 2), 4)
     with pytest.raises(DegreeBoundError):

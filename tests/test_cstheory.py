@@ -54,6 +54,7 @@ from arithcs.groups import (
     cyclic,
     identity_hom,
     inclusion_hom,
+    make_group,
     make_hom,
     trivial_hom,
 )
@@ -321,9 +322,9 @@ def test_gluing_and_torsor_pipelines_agree():
 def test_torsor_build_zero_cocycle_member():
     datum = toy_abelian_datum()
     rho_locals = local_pullbacks(datum, trivial_hom(datum.global_group, datum.gauge_group))
-    st = torsor_build(datum, rho_locals)
-    assert element_in_fiber(datum, rho_locals, st.member)
-    for comp in st.member.components:
+    member = torsor_build(datum, rho_locals)
+    assert element_in_fiber(datum, rho_locals, member)
+    for comp in member:
         assert comp.is_zero()  # canonical solve of d(x) = 0
 
 
@@ -354,13 +355,12 @@ def test_torsor_difference_axioms():
     datum = toy_abelian_datum()
     rho = toy_abelian_rho()
     rho_locals = local_pullbacks(datum, rho)
-    st = torsor_build(datum, rho_locals)
-    x = st.member
+    x = torsor_build(datum, rho_locals)
     # shift by a cocycle tuple to get other members
-    coeffs = x.components[0].coeffs
+    coeffs = x[0].coeffs
     z = Cochain(coeffs, 2, carry_cocycle(2).values)
-    y = type(x)(tuple(c + z for c in x.components))
-    w = type(x)(tuple(c + z + z for c in x.components))
+    y = tuple(c + z for c in x)
+    w = tuple(c + z + z for c in x)
     zero = torsor_difference(datum, x, x)
     assert all(all(v == 0 for v in coords) for coords in zero)
     dxy = torsor_difference(datum, x, y)
@@ -372,6 +372,27 @@ def test_torsor_difference_axioms():
         h2 = cohomology(place.h2_generator.coeffs, 2)
         for u, v, t, d in zip(a, b, c, h2.invariant_factors):
             assert (u + v) % d == t
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, locs, x: torsor_build(d, locs[:1]),
+        lambda d, locs, x: element_in_fiber(d, locs, ()),
+        lambda d, locs, x: element_in_fiber(d, locs, x + x[:1]),
+        lambda d, locs, x: torsor_map(d, [1], x, locs),
+        lambda d, locs, x: torsor_map(d, [1, 1], x[:1], locs),
+        lambda d, locs, x: torsor_difference(d, x, x[:1]),
+        lambda d, locs, x: pushout_value(d, [(1,)]),
+    ],
+    ids=["build", "fiber_empty", "fiber_long", "map_avec", "map_member", "difference", "pushout"],
+)
+def test_torsor_functions_refuse_a_length_mismatch(call):
+    # the toy datum has two places; a short or long tuple must not be zipped to fit
+    datum = toy_global_datum()
+    rho_locals = local_pullbacks(datum, toy_rho())
+    with pytest.raises(ValueError):
+        call(datum, rho_locals, torsor_build(datum, rho_locals))
 
 
 def test_two_solver_outputs_differ_by_valid_h2s_element():
@@ -390,11 +411,11 @@ def test_torsor_map_lands_in_conjugated_fiber():
     datum = toy_global_datum()
     rho = toy_rho()
     rho_locals = local_pullbacks(datum, rho)
-    st = torsor_build(datum, rho_locals)
+    member = torsor_build(datum, rho_locals)
     rng = np.random.default_rng(4)
     for _ in range(5):
         avec = [int(a) for a in rng.integers(0, 6, size=len(datum.places))]
-        moved = torsor_map(datum, avec, st.member, rho_locals)
+        moved = torsor_map(datum, avec, member, rho_locals)
         conj_locals = tuple(
             conjugation_hom(datum.gauge_group, a).compose(rv)
             for a, rv in zip(avec, rho_locals)
@@ -406,9 +427,9 @@ def test_torsor_map_identity_is_coboundary_shift():
     datum = toy_global_datum()
     rho = toy_rho()
     rho_locals = local_pullbacks(datum, rho)
-    st = torsor_build(datum, rho_locals)
-    moved = torsor_map(datum, [0] * len(datum.places), st.member, rho_locals)
-    for coords in torsor_difference(datum, moved, st.member):
+    member = torsor_build(datum, rho_locals)
+    moved = torsor_map(datum, [0] * len(datum.places), member, rho_locals)
+    for coords in torsor_difference(datum, moved, member):
         assert all(v == 0 for v in coords)
 
 
@@ -416,18 +437,18 @@ def test_torsor_map_functoriality():
     datum = toy_global_datum()
     rho = toy_rho()
     rho_locals = local_pullbacks(datum, rho)
-    st = torsor_build(datum, rho_locals)
+    member = torsor_build(datum, rho_locals)
     rng = np.random.default_rng(9)
     g = datum.gauge_group
     for _ in range(5):
         avec = [int(a) for a in rng.integers(0, 6, size=len(datum.places))]
         bvec = [int(b) for b in rng.integers(0, 6, size=len(datum.places))]
         abvec = [g.op(a, b) for a, b in zip(avec, bvec)]
-        one_step = torsor_map(datum, abvec, st.member, rho_locals)
+        one_step = torsor_map(datum, abvec, member, rho_locals)
         b_locals = tuple(
             conjugation_hom(g, b).compose(rv) for b, rv in zip(bvec, rho_locals)
         )
-        two_step = torsor_map(datum, avec, torsor_map(datum, bvec, st.member, rho_locals), b_locals)
+        two_step = torsor_map(datum, avec, torsor_map(datum, bvec, member, rho_locals), b_locals)
         for coords in torsor_difference(datum, one_step, two_step):
             assert all(v == 0 for v in coords)
 
@@ -461,7 +482,7 @@ def test_section_of_locally_dead_pullback_is_zero():
     datum = toy_abelian_datum()
     rho = trivial_hom(datum.global_group, datum.gauge_group)
     section = cs_section(datum, rho)
-    assert all(comp.is_zero() for comp in section.components)
+    assert all(comp.is_zero() for comp in section)
 
 
 def test_section_choice_independence():
@@ -495,21 +516,21 @@ def test_kummer_explicit_identity_lift():
 
 def test_kummer_auto_lift():
     f = make_hom(cyclic(4), cyclic(2), [0, 1, 0, 1])
-    b, t = kummer_trivialization(f, "auto")
+    b, t = kummer_trivialization(f)
     assert differential(b) == pullback(f, carry_cocycle(2))
     assert differential(t) == pullback(f, cyclic_three_cocycle(2))
 
 
 def test_kummer_trivial_hom():
     f = trivial_hom(cyclic(4), cyclic(2))
-    b, t = kummer_trivialization(f, "auto")
+    b, t = kummer_trivialization(f)
     assert b.is_zero() and t.is_zero()
 
 
 def test_kummer_no_lift_for_identity_of_z2():
     f = make_hom(cyclic(2), cyclic(2), [0, 1])
     with pytest.raises(NoLiftError):
-        kummer_trivialization(f, "auto")
+        kummer_trivialization(f)
     # oracle: none of the four maps Z/2 -> Z/4 is a lifting homomorphism
     z2, z4 = cyclic(2), cyclic(4)
     lifts = []
@@ -522,8 +543,34 @@ def test_kummer_no_lift_for_identity_of_z2():
 
 def test_kummer_mod3():
     f = make_hom(cyclic(9), cyclic(3), [0, 1, 2, 0, 1, 2, 0, 1, 2])
-    b, t = kummer_trivialization(f, "auto")
+    b, t = kummer_trivialization(f)
     assert differential(t) == pullback(f, cyclic_three_cocycle(3))
+
+
+def _relabeled_z4():
+    # Z/4 with the elements 1 and 2 swapped: cyclic, but not the standard table
+    perm = [0, 2, 1, 3]
+    table = [[perm[(perm[a] + perm[b]) % 4] for b in range(4)] for a in range(4)]
+    return make_group(table), perm
+
+
+@pytest.mark.parametrize(
+    "lift, match",
+    [
+        (lambda: make_hom(cyclic(2), cyclic(4), [0, 2]), "same domain"),
+        (lambda: make_hom(cyclic(4), cyclic(8), [0, 2, 4, 6]), "same domain"),
+        (lambda: make_hom(cyclic(4), cyclic(2), [0, 1, 0, 1]), "same domain"),
+        (lambda: make_hom(cyclic(4), *_relabeled_z4()), "standard cyclic"),
+        (lambda: make_hom(cyclic(4), cyclic(4), [0, 2, 0, 2]), "does not reduce to f"),
+        (lambda: "auto", "GroupHom or None"),
+        (lambda: 3, "GroupHom or None"),
+    ],
+    ids=["wrong_domain", "codomain_z8", "codomain_z2", "nonstandard_table", "not_reducing", "string", "int"],
+)
+def test_kummer_refuses_a_bad_lift(lift, match):
+    f = make_hom(cyclic(4), cyclic(2), [0, 1, 0, 1])
+    with pytest.raises(ValueError, match=match):
+        kummer_trivialization(f, lift())
 
 
 def test_kummer_identity_check_runs_under_python_O():

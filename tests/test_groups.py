@@ -203,6 +203,49 @@ def test_action_rejects_nonmultiplicative_units():
         GModuleAction.by_units(cyclic(2), ModuleOverZn.cyclic(5), [1, 2])  # 2*2 != 1 mod 5
 
 
+def test_action_check_accepts_exactly_the_multiplicative_tables():
+    # every table with the identity at 0 and reduced entries elsewhere: Z/2
+    # and Z/3 acting on Z/2+Z/2 and Z/2+Z/4, 4432 tables in all.  The accepted
+    # ones must be those that respect the orders and are multiplicative,
+    # checked entry by entry; invertibility then follows and is not checked.
+    def respects_orders(mat, orders):
+        return all(mat[u][v] * orders[v] % orders[u] == 0 for u in range(2) for v in range(2))
+
+    def product(x, y, orders):
+        return tuple(
+            tuple(sum(x[u][t] * y[t][v] for t in range(2)) % orders[u] for v in range(2))
+            for u in range(2)
+        )
+
+    accepted, expected, total = set(), set(), 0
+    for m, orders in itertools.product([2, 3], [(2, 2), (2, 4)]):
+        group, module = cyclic(m), ModuleOverZn(max(orders), orders)
+        reduced = [
+            ((a, b), (c, d))
+            for a, b in itertools.product(range(orders[0]), repeat=2)
+            for c, d in itertools.product(range(orders[1]), repeat=2)
+        ]
+        identity = ((1, 0), (0, 1))
+        for rest in itertools.product(reduced, repeat=m - 1):
+            total += 1
+            mats = (identity, *rest)
+            key = (m, orders, mats)
+            try:
+                GModuleAction(group, module, np.array(mats))
+                accepted.add(key)
+            except ValueError:
+                pass
+            if all(respects_orders(x, orders) for x in mats) and all(
+                product(mats[g], mats[h], orders) == mats[(g + h) % m]
+                for g in range(m)
+                for h in range(m)
+            ):
+                expected.add(key)
+    assert total == 4432
+    assert accepted == expected
+    assert len(expected) == 14
+
+
 def test_mixed_order_action():
     m = ModuleOverZn(4, (2, 4))
     z2 = cyclic(2)

@@ -236,6 +236,14 @@ def test_out_of_range_elements_are_rejected():
             homotopy([a], f)
 
 
+def test_homotopy_reads_elements_strictly():
+    f = carry_cocycle(3)
+    assert homotopy([np.int64(1)], f) == homotopy([1], f)
+    for a in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            homotopy([a], f)
+
+
 def test_worked_grid_example_path():
     # the 5 x 4 grid path H H V H V H H V V: 15 squares above, negative sign
     steps = ("h", "h", "v", "h", "v", "h", "h", "v", "v")
