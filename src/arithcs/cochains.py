@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, GModuleAction, GroupHom
+from .groups import FiniteGroup, GModuleAction, GroupHom, _element
 from .zmod import (
     ComputationError,
     diagonalize_mod,
@@ -39,17 +38,6 @@ DEFAULT_DEGREE_CAP = 4
 
 class DegreeBoundError(ComputationError):
     """Raised when an operation would exceed the configured degree cap."""
-
-
-def _element(x) -> int:
-    """A group element argument as an int: any integer, numpy ones included,
-    but not a bool or a float, which would otherwise be truncated silently."""
-    if isinstance(x, bool):
-        raise ValueError(f"element {x!r} is a bool, not an integer")
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"element {x!r} is not an integer") from None
 
 
 @functools.lru_cache(maxsize=None)

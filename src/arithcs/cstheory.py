@@ -35,7 +35,7 @@ from .cochains import (
     _scaled,
     _scaled_differential,
 )
-from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, cyclic, make_hom
+from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, _element, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
 from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, solve_linear
 
@@ -69,8 +69,9 @@ class InvariantValue:
     modulus: int
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator", int(self.numerator) % int(self.modulus))
-        object.__setattr__(self, "modulus", int(self.modulus))
+        numerator, modulus = _element(self.numerator, "numerator"), _element(self.modulus, "modulus")
+        object.__setattr__(self, "numerator", numerator % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     def __add__(self, other: "InvariantValue") -> "InvariantValue":
         self._check(other)

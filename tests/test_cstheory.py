@@ -73,6 +73,14 @@ def test_invariant_value_arithmetic():
         a + InvariantValue(1, 5)
 
 
+def test_invariant_value_reads_integers_strictly():
+    v = InvariantValue(np.int64(5), np.int64(4))
+    assert (type(v.numerator), type(v.modulus), str(v)) == (int, int, "1/4")
+    for numerator, modulus in [(1.5, 2), (True, 2), (1, 2.0), (1, True), ("1", 2)]:
+        with pytest.raises(ValueError, match="not an integer"):
+            InvariantValue(numerator, modulus)
+
+
 def _generates_summand_by_search(factors, coords, n):
     """The class has order n and some f: Z/d_1 + ... -> Z/n sends it to 1."""
     order = next(k for k in itertools.count(1) if all(k * c % d == 0 for d, c in zip(factors, coords)))

@@ -244,6 +244,16 @@ def test_homotopy_reads_elements_strictly():
             homotopy([a], f)
 
 
+def test_conjugate_reads_elements_strictly():
+    f = carry_cocycle(3)
+    assert conjugate(f, np.int64(1)) == conjugate(f, 1)
+    for a in (True, 1.5):
+        with pytest.raises(ValueError, match="not an integer"):
+            conjugate(f, a)
+    with pytest.raises(ValueError, match="out of range"):
+        conjugate(f, -1)
+
+
 def test_worked_grid_example_path():
     # the 5 x 4 grid path H H V H V H H V V: 15 squares above, negative sign
     steps = ("h", "h", "v", "h", "v", "h", "h", "v", "v")

@@ -3,10 +3,12 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arithcs.zmod import (
     ModuleOverZn,
+    _howell_rows_gf2,
+    _howell_rows_int64,
     annihilator,
     diagonalize_mod,
     howell_form,
@@ -224,6 +226,34 @@ def test_howell_row_space_property(n, rows, cols, data):
     h, u = howell_form(m, n)
     assert np.array_equal(u @ m % n, h)
     assert brute_row_space(m, n) == brute_row_space(h, n)
+
+
+@given(
+    rows=st.integers(0, 12),
+    cols=st.integers(0, 12),
+    data=st.data(),
+)
+# sparse matrices whose shapes cross 64-bit word boundaries
+@example(rows=5, cols=130, data=None)
+@example(rows=70, cols=9, data=None)
+@example(rows=66, cols=200, data=None)
+@settings(max_examples=200, deadline=None)
+def test_gf2_engine_equals_int64_engine(rows, cols, data):
+    # entries outside [0, 2) check the packed engine's & 1 against % 2
+    if data is None:
+        rng = np.random.default_rng(rows * cols)
+        m = rng.integers(-3, 4, size=(rows, cols)) * (rng.random((rows, cols)) < 0.3)
+    else:
+        entries = st.integers(0, 1) | st.integers(-5, 5) | st.sampled_from([-(1 << 40) - 1, 1 << 40])
+        m = np.array(data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+        m = m.reshape(rows, cols)
+    packed, reference = _howell_rows_gf2(m), _howell_rows_int64(m, 2)
+    for got, want in zip(packed, reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    h, u, k = packed
+    assert np.array_equal(u @ m % 2, h)
+    assert not (k @ m % 2).any()
 
 
 def brute_span_with_n(rows, w, n) -> set:
