@@ -21,16 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, GModuleAction, GroupHom, _element
+from .groups import FiniteGroup, GModuleAction, GroupHom
 from .zmod import (
     ComputationError,
+    Factorization,
+    _element,
+    _freeze,
     diagonalize_mod,
+    factorize,
     lattice_basis,
     lattice_coordinates,
     left_kernel,
-    right_kernel,
     solve_linear,
-    _freeze,
 )
 
 DEFAULT_DEGREE_CAP = 4
@@ -91,7 +93,8 @@ class Cochain:
             raise ValueError("degree must be nonnegative")
         m = coeffs.group.order
         r = coeffs.module.rank
-        vals = coeffs.module.reduce(np.asarray(values, dtype=np.int64)).reshape(m**degree, r)
+        # reshape before reducing: a flat vector of a rank-r module reduces per column
+        vals = coeffs.module.reduce(np.asarray(values, dtype=np.int64).reshape(m**degree, r))
         self.coeffs = coeffs
         self.degree = degree
         self.values = _freeze(vals)
@@ -138,7 +141,7 @@ class Cochain:
         return Cochain(self.coeffs, self.degree, -self.values)
 
     def __rmul__(self, scalar: int) -> "Cochain":
-        return Cochain(self.coeffs, self.degree, int(scalar) * self.values)
+        return Cochain(self.coeffs, self.degree, _element(scalar, "scalar") * self.values)
 
     def _check_compatible(self, other: "Cochain"):
         if self.coeffs != other.coeffs or self.degree != other.degree:
@@ -254,13 +257,28 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     multiplied by n / order(s), so congruence mod n in each row is congruence
     mod the coordinate's cyclic order.  Scaling and reduction happen in
     place, so building d holds one copy of it.  This is the only cached dense
-    copy of d: ``solve_differential``, ``cohomology`` (for its kernel),
-    ``normalized_representative`` and the local invariants all reuse it.
+    copy of d.  ``_factored_differential`` factors it once for
+    ``solve_differential`` and ``cohomology``; the ``column_order`` solves,
+    ``normalized_representative`` and the local invariants eliminate
+    matrices derived from it (permuted, a row subset, one extra column).
     """
     d = _differential_matrix(coeffs, i)
     d *= _row_scales(coeffs, i + 1)[:, None]
     d %= coeffs.modulus
     return _freeze(d)
+
+
+@functools.lru_cache(maxsize=None)
+def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
+    """``factorize`` of ``_scaled_differential(coeffs, i)``, cached.
+
+    Its k is the right kernel that ``cohomology`` reads, and its ``solve``
+    serves every ``solve_differential`` without ``column_order``, so each
+    d is eliminated once however many targets are solved against it.  Its
+    h, with one row per pivot and one column per coordinate of C^(i+1), is
+    stored in the narrow dtype of ``zmod._form_dtype``.
+    """
+    return factorize(_scaled_differential(coeffs, i), coeffs.modulus)
 
 
 def solve_differential(
@@ -272,21 +290,28 @@ def solve_differential(
 ) -> Cochain | None:
     """Solve d x = target for x in C^degree; None when no solution exists.
 
-    The returned solution is the canonical one under leftmost-pivot solving;
-    ``column_order`` permutes the unknowns first (used to confirm that
-    downstream invariants do not depend on the solver's variable order).
+    The returned solution is the canonical one under leftmost-pivot solving,
+    a back-substitution against the cached ``_factored_differential``, so
+    only the first solve on a differential (or a ``cohomology`` before it)
+    eliminates d.  ``column_order`` permutes the unknowns first (used to
+    confirm that downstream invariants do not depend on the solver's
+    variable order); that permuted d is factored afresh on every call.
+    The target must be a cochain on ``coeffs`` of degree ``degree + 1``.
     """
     if target.degree != degree + 1:
         raise ValueError("target degree must be degree + 1")
+    if target.coeffs != coeffs:
+        raise ValueError("target lives on other coefficients than the ones solved over")
+    if column_order is None:
+        sol = _factored_differential(coeffs, degree).solve(_scaled(target))
+        return None if sol is None else Cochain(coeffs, degree, sol.particular)
     a = _scaled_differential(coeffs, degree)
-    perm = None if column_order is None else np.asarray(column_order, dtype=np.int64)
-    sol = solve_linear(a if perm is None else a[:, perm], _scaled(target), coeffs.modulus)
+    perm = np.asarray(column_order, dtype=np.int64)
+    sol = solve_linear(a[:, perm], _scaled(target), coeffs.modulus)
     if sol is None:
         return None
-    x = sol.particular
-    if perm is not None:
-        x = np.zeros(a.shape[1], dtype=np.int64)
-        x[perm] = sol.particular
+    x = np.zeros(a.shape[1], dtype=np.int64)
+    x[perm] = sol.particular
     return Cochain(coeffs, degree, x)
 
 
@@ -375,7 +400,9 @@ class CohomologyGroup:
 def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     """Compute H^degree(G, M) = ker d / im d by canonical forms.
 
-    Kernel generators come from the Howell-form right kernel over Z/n, and
+    Kernel generators are the k of the cached ``_factored_differential``
+    (the Howell-form right kernel of d over Z/n), so a later
+    ``solve_differential`` on the same d reuses this elimination; and
     ``lattice_basis`` turns them into a triangular basis of the cocycle
     lattice.  ``diagonalize_mod`` of the coboundary relations written in that
     basis gives the invariant factors, the column transform behind
@@ -393,7 +420,7 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
 
     # Z-basis of the cocycle lattice (the lattice contains n*Z^width, which
     # keeps all entries reduced mod n throughout)
-    kernel = right_kernel(_scaled_differential(coeffs, degree), n)
+    kernel = _factored_differential(coeffs, degree).k
     basis = lattice_basis(kernel, width, n)
 
     # coboundary lattice generators in basis coordinates: columns of the

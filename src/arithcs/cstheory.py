@@ -35,9 +35,9 @@ from .cochains import (
     _scaled,
     _scaled_differential,
 )
-from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, _element, cyclic, make_hom
+from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
-from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, solve_linear
+from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, _element, solve_linear
 
 
 class NotInGeneratedSummandError(ComputationError):

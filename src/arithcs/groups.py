@@ -8,12 +8,11 @@ finite quotients supplied as data; nothing here knows about number fields.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .zmod import ModuleOverZn, _freeze
+from .zmod import ModuleOverZn, _element, _freeze
 
 
 class NotAGroupError(ValueError):
@@ -94,18 +93,6 @@ class FiniteGroup:
         cosets = sorted(set(coset_of.values()))  # the identity coset contains 0, so it is first
         quot = _table_group(cosets, lambda c, d: coset_of[self.op(c[0], d[0])])
         return quot, GroupHom(self, quot, [cosets.index(coset_of[g]) for g in self.elements()])
-
-
-def _element(x, what: str = "element") -> int:
-    """A group element argument as an int: any integer, numpy ones included,
-    but not a bool or a float, which would otherwise be truncated silently.
-    Other integer arguments are read the same way, ``what`` naming them."""
-    if isinstance(x, bool):
-        raise ValueError(f"{what} {x!r} is a bool, not an integer")
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def make_group(mul_table) -> FiniteGroup:

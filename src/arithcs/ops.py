@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochains import Cochain, DegreeBoundError, _digits, _encode, decode_index, differential
-from .groups import GModuleAction, _element, conjugation_hom
-from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, NotDivisibleError
+from .groups import GModuleAction, conjugation_hom
+from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, NotDivisibleError, _element
 
 
 class IncompatiblePairingError(ComputationError):

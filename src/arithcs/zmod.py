@@ -4,13 +4,21 @@ Everything downstream (cocycle membership, trivialization solving, cohomology
 group structure) reduces to the elimination steps implemented here, each
 written once.  ``_howell_rows`` computes the row Howell form with its
 transform and left kernel; it serves ``howell_form``, ``left_kernel``,
-``right_kernel``, ``solve_linear`` and ``lattice_basis``.  Howell form is the
-unique canonical row form for Z/n-row spaces (Z/n is not a field), so it is
-used wherever membership in a row space has to be decided.  For n == 2 it
-eliminates on bit-packed rows (``_howell_rows_gf2``), for any other n on
-int64 rows (``_howell_rows_int64``); the two give equal results over Z/2.
-``_back_substitute`` reduces vectors against an echelon form, a Howell form
-in ``solve_linear`` and a triangular lattice basis in
+``factorize`` and ``lattice_basis``.  Howell form is the unique canonical
+row form for Z/n-row spaces (Z/n is not a field), so it is used wherever
+membership in a row space has to be decided.  For n == 2 it eliminates on
+bit-packed rows (``_howell_rows_gf2``), for any other n on int64 rows
+(``_howell_rows_int64``); the two give equal results over Z/2.  Both store
+the form h in the narrowest unsigned dtype that holds n - 1 (uint8 up to
+n = 256, uint16 up to ``MAX_MODULUS``), the transform and kernel in int64.
+
+``factorize(a, n)`` keeps (h, u, k) of ``_howell_rows(a.T, n)`` as a
+``Factorization``, whose ``solve`` answers a @ x == b for one b by
+back-substitution alone; ``solve_linear`` is factorize-then-solve and
+``right_kernel`` is its k, so a caller that keeps the value (the cochain
+layer caches one per differential) factors a matrix once for any number of
+solves.  ``_back_substitute`` reduces vectors against an echelon form, a
+Howell form in ``Factorization.solve`` and a triangular lattice basis in
 ``lattice_coordinates``; a zero remainder means membership.  The two-sided
 invariant-factor diagonalization ``diagonalize_mod`` of a lattice containing
 n*Z^w gives ``cohomology`` its invariant factors, generators and
@@ -20,12 +28,15 @@ the transposed view.
 Matrices are plain 2-D int64 array-likes with any integer entries, and the
 modulus n comes last: ``howell_form(a, n)``, ``solve_linear(a, b, n)``,
 ``diagonalize_mod(a, n)``.  The routines reduce their inputs mod n
-themselves, never modify them and return new arrays.  All arithmetic is
-exact; there is no floating point in this package.
+themselves, never modify them and return new int64 arrays.  Integer
+arguments (moduli, cyclic orders) are read by ``_element``, which refuses
+bools and floats instead of truncating them.  All arithmetic is exact; there
+is no floating point in this package.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -49,8 +60,21 @@ class NotDivisibleError(ComputationError, ArithmeticError):
     """
 
 
+def _element(x, what: str = "element") -> int:
+    """An integer argument (a group element, a modulus, a cyclic order, a
+    scalar) as an int: any integer, numpy ones included, but not a bool or a
+    float, which would otherwise be truncated silently.  ``what`` names the
+    value in the error."""
+    if isinstance(x, bool):
+        raise ValueError(f"{what} {x!r} is a bool, not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 def _check_modulus(n: int) -> int:
-    n = int(n)
+    n = _element(n, "modulus")
     if not 2 <= n <= MAX_MODULUS:
         raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {n}")
     return n
@@ -70,7 +94,7 @@ class ModuleOverZn:
     def __post_init__(self):
         n = _check_modulus(self.modulus)
         object.__setattr__(self, "modulus", n)
-        orders = tuple(int(d) for d in self.orders)
+        orders = tuple(_element(d, "cyclic order") for d in self.orders)
         if not orders:
             raise ValueError("module needs at least one cyclic factor")
         for d in orders:
@@ -150,11 +174,17 @@ def _howell_rows(mat: np.ndarray, n: int):
     """Howell form of the row space of ``mat`` over Z/n.
 
     Returns (h, u, k): h is the Howell form without zero rows, u @ mat == h,
-    and the rows of k generate the left kernel {x : x @ mat == 0}.  Over
-    Z/2 the bit-packed ``_howell_rows_gf2`` runs; every other modulus runs
+    and the rows of k generate the left kernel {x : x @ mat == 0}.  h has
+    dtype ``_form_dtype(n)``, u and k are int64.  Over Z/2 the bit-packed
+    ``_howell_rows_gf2`` runs; every other modulus runs
     ``_howell_rows_int64``.  Both return the same arrays for n == 2.
     """
     return _howell_rows_gf2(mat) if n == 2 else _howell_rows_int64(mat, n)
+
+
+def _form_dtype(n: int) -> type:
+    """The narrowest unsigned dtype holding every residue 0 .. n - 1."""
+    return np.uint8 if n <= 256 else np.uint16
 
 
 def _howell_rows_int64(mat: np.ndarray, n: int):
@@ -202,7 +232,7 @@ def _howell_rows_int64(mat: np.ndarray, n: int):
         if t:
             rows.append((t * rows[r]) % n)
         r += 1
-    h = np.array([row[:ncols] for row in rows[:r]], dtype=np.int64).reshape(r, ncols)
+    h = np.array([row[:ncols] for row in rows[:r]], dtype=_form_dtype(n)).reshape(r, ncols)
     u = np.array([row[ncols:] for row in rows[:r]], dtype=np.int64).reshape(r, nrows)
     kernel = [row[ncols:] for row in rows[r:] if row[ncols:].any()]
     k = np.array(kernel, dtype=np.int64).reshape(len(kernel), nrows)
@@ -220,8 +250,9 @@ def _pack(bits: np.ndarray, width: int) -> np.ndarray:
     return words.view("<u8")
 
 
-def _unpack(words: np.ndarray, width: int) -> np.ndarray:
-    return np.unpackbits(words.view(np.uint8), axis=1, count=width, bitorder="little").astype(np.int64)
+def _unpack(words: np.ndarray, width: int, dtype=np.int64) -> np.ndarray:
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=width, bitorder="little")
+    return bits.astype(dtype, copy=False)
 
 
 def _howell_rows_gf2(mat: np.ndarray):
@@ -265,7 +296,7 @@ def _howell_rows_gf2(mat: np.ndarray):
             r += 1
             done = bit + 1
     # t stays invertible, so none of its rows below r is zero
-    return _unpack(a[:r], ncols), _unpack(t[:r], nrows), _unpack(t[r:], nrows)
+    return _unpack(a[:r], ncols, _form_dtype(2)), _unpack(t[:r], nrows), _unpack(t[r:], nrows)
 
 
 def howell_form(a, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +305,8 @@ def howell_form(a, n: int) -> tuple[np.ndarray, np.ndarray]:
     The form is unique for a given row space; zero rows are dropped, so the
     zero space has a 0 x cols form.
     """
-    return _howell_rows(*_matrix(a, n))[:2]
+    h, u, _ = _howell_rows(*_matrix(a, n))
+    return h.astype(np.int64), u
 
 
 def left_kernel(a, n: int) -> np.ndarray:
@@ -284,8 +316,7 @@ def left_kernel(a, n: int) -> np.ndarray:
 
 def right_kernel(a, n: int) -> np.ndarray:
     """Rows generating {x : a @ x == 0} over Z/n."""
-    a, n = _matrix(a, n)
-    return _howell_rows(a.T, n)[2]
+    return factorize(a, n).k
 
 
 def _leading(h: np.ndarray) -> np.ndarray:
@@ -320,23 +351,54 @@ class LinearSolution:
     kernel_basis: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """(h, u, k) of ``_howell_rows(a.T, n)``: a factored once, for many solves.
+
+    h is the Howell form of a's column space in dtype ``_form_dtype(n)``,
+    u @ a.T == h, and the rows of k generate the right kernel of a.  The
+    arrays are read-only, so one value can be shared by every caller.
+    """
+
+    h: np.ndarray
+    u: np.ndarray
+    k: np.ndarray
+    modulus: int
+
+    def __post_init__(self):
+        for a in (self.h, self.u, self.k):
+            _freeze(a)
+
+    def solve(self, b) -> LinearSolution | None:
+        """Solve a @ x == b; None means no solution exists.
+
+        The particular solution is the canonical one produced by
+        back-reduction against h (leftmost pivot, smallest representative).
+        kernel_basis is k, so the solution set is particular + span(kernel).
+        """
+        n = self.modulus
+        b = np.asarray(b, dtype=np.int64).ravel()
+        if b.shape[0] != self.h.shape[1]:
+            raise ValueError("dimension mismatch between matrix and right-hand side")
+        coeff, rem = _back_substitute(self.h, b[None, :], n)
+        if rem.any():
+            return None
+        return LinearSolution(particular=coeff[0] @ self.u % n, kernel_basis=self.k)
+
+
+def factorize(a, n: int) -> Factorization:
+    """Factor a over Z/n once; ``solve`` then costs one back-substitution."""
+    a, n = _matrix(a, n)
+    return Factorization(*_howell_rows(a.T, n), n)
+
+
 def solve_linear(a, b, n: int) -> LinearSolution | None:
     """Solve a @ x == b over Z/n; None means no solution exists.
 
-    The particular solution is the deterministic canonical one produced by
-    back-reduction against the Howell form of a's column space (leftmost
-    pivot, smallest representative).  kernel_basis rows generate the full
-    right kernel of a, so the solution set is particular + span(kernel).
+    ``factorize(a, n).solve(b)``: see ``Factorization.solve`` for the
+    canonical particular solution and the kernel basis.
     """
-    a, n = _matrix(a, n)
-    b = np.asarray(b, dtype=np.int64).ravel() % n
-    if b.shape[0] != a.shape[0]:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    h, u, k = _howell_rows(a.T, n)
-    coeff, rem = _back_substitute(h, b[None, :], n)
-    if rem.any():
-        return None
-    return LinearSolution(particular=coeff[0] @ u % n, kernel_basis=k)
+    return factorize(a, n).solve(b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arithcs import zmod
 from arithcs.cochains import (
     Cochain,
     Coboundary,
+    _factored_differential,
     _row_scales,
+    _scaled,
     _scaled_differential,
     DegreeBoundError,
     NonCocycle,
@@ -28,7 +32,8 @@ from arithcs.groups import (
     symmetric3,
     trivial_hom,
 )
-from arithcs.zmod import ModuleOverZn
+from arithcs.ops import carry_cocycle
+from arithcs.zmod import ModuleOverZn, solve_linear
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -48,6 +53,7 @@ def small_corpus():
     yield triv(klein_four(), 2)
     yield GModuleAction.by_character(identity_hom(Z2), ModuleOverZn.cyclic(4), 3)
     yield GModuleAction.by_character(sign, ModuleOverZn.cyclic(3), 2)
+    yield GModuleAction.trivial(Z4, ModuleOverZn(4, (2, 4)))
 
 
 def test_degree_zero_differential_trivial_action():
@@ -120,6 +126,15 @@ def test_call_reads_elements_strictly():
     for args in [(1.9, 2), (1.0, 2), (True, 2), (np.True_, 2), ("1", 2), (None, 2)]:
         with pytest.raises(ValueError, match="not an integer"):
             f(*args)
+
+
+def test_scalar_multiples_read_the_scalar_strictly():
+    f = carry_cocycle(3)
+    assert (2 * f).values.tolist() == (f + f).values.tolist()
+    assert np.int64(2) * f == 2 * f
+    for scalar in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="scalar"):
+            scalar * f
 
 
 def test_degree_cap():
@@ -263,6 +278,72 @@ def test_solve_differential_with_permuted_columns():
         perm = np.random.default_rng(seed).permutation(base.values.size)
         other = solve_differential(coeffs, 1, f, column_order=perm)
         assert other is not None and differential(other) == f
+
+
+def test_solve_differential_refuses_targets_on_other_coefficients():
+    target = differential(Cochain.random(triv(Z4, 4), 1, np.random.default_rng(0)))
+    twisted = GModuleAction.by_character(identity_hom(Z4), ModuleOverZn.cyclic(4), 3)
+    for coeffs in (triv(Z4, 2), twisted):
+        with pytest.raises(ValueError, match="other coefficients"):
+            solve_differential(coeffs, 1, target)
+
+
+# coefficient systems for the cache property test: n in {2, 3, 4, 6}, a mixed
+# module, a twisted action, and n = 300 > 256 so that h is stored as uint16
+CACHED_SOLVE_COEFFS = [
+    triv(klein_four(), 2),
+    GModuleAction.by_character(s3_sign_hom(symmetric3(), Z2), ModuleOverZn.cyclic(3), 2),
+    GModuleAction.trivial(Z4, ModuleOverZn(4, (2, 4))),
+    GModuleAction.by_character(identity_hom(Z2), ModuleOverZn.cyclic(4), 3),
+    triv(symmetric3(), 6),
+    triv(Z3, 300),
+]
+
+
+@given(
+    case=st.sampled_from(CACHED_SOLVE_COEFFS),
+    degree=st.integers(0, 2),
+    coboundary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_cached_solve_equals_dense_solve_linear(case, degree, coboundary, seed):
+    rng = np.random.default_rng(seed)
+    if coboundary:
+        target = differential(Cochain.random(case, degree, rng))
+    else:
+        target = Cochain.random(case, degree + 1, rng)
+    got = solve_differential(case, degree, target)
+    n = case.modulus
+    assert _factored_differential(case, degree).h.dtype == (np.uint8 if n <= 256 else np.uint16)
+    want = solve_linear(_scaled_differential(case, degree), _scaled(target), n)
+    assert (got is None) == (want is None)
+    if coboundary:
+        assert got is not None and differential(got) == target
+    if got is not None:
+        assert got.values.dtype == np.int64
+        assert got.values.tobytes() == Cochain(case, degree, want.particular).values.tobytes()
+
+
+def test_cohomology_and_solves_factor_each_differential_once(monkeypatch):
+    coeffs = triv(Z4, 2)
+    d2 = _scaled_differential(coeffs, 2)
+    _factored_differential.cache_clear()
+    cohomology.cache_clear()
+    shapes = []
+    howell_rows = zmod._howell_rows
+
+    def counting(mat, n):
+        shapes.append(mat.shape)
+        return howell_rows(mat, n)
+
+    monkeypatch.setattr(zmod, "_howell_rows", counting)
+    assert cohomology(coeffs, 2).invariant_factors == (2,)
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        target = differential(Cochain.random(coeffs, 2, rng))
+        assert differential(solve_differential(coeffs, 2, target)) == target
+    assert shapes.count(d2.T.shape) == 1
 
 
 def test_normalized_representative():

@@ -79,6 +79,22 @@ def test_module_orders_must_divide():
         ModuleOverZn(4, (3,))
 
 
+def test_integer_arguments_are_read_strictly():
+    # a float or bool modulus or cyclic order is refused, not truncated
+    with pytest.raises(ValueError, match="modulus 2.5 is not an integer"):
+        howell_form([[1, 1]], 2.5)
+    with pytest.raises(ValueError, match="cyclic order 2.5 is not an integer"):
+        ModuleOverZn(4, (2.5,))
+    with pytest.raises(ValueError, match="modulus 4.9 is not an integer"):
+        ModuleOverZn(4.9, (2,))
+    with pytest.raises(ValueError, match="cyclic order True is a bool"):
+        ModuleOverZn(4, (True,))
+    # numpy integers are integers, stored as ints
+    m = ModuleOverZn(np.int64(4), (np.uint8(2),))
+    assert m == ModuleOverZn(4, (2,)) and type(m.modulus) is int and type(m.orders[0]) is int
+    assert howell_form([[1, 1]], np.int64(2))[0].tolist() == [[1, 1]]
+
+
 @pytest.mark.parametrize("a,n", [(0, 6), (2, 4), (3, 6), (4, 6), (10, 12), (8, 12)])
 def test_unit_lift(a, n):
     u = unit_lift(a, n)
