@@ -44,8 +44,8 @@ for which in ("i", "j", "k"):
     value = cs_invariant(datum, rho)
     print(f"  CS invariant of the character detecting {which}: {value}")
 
-# The value is well-defined: solver order, conjugation, and the choice of
-# global trivialization cannot move it.
+# The value is well-defined: conjugation and the choice of global
+# trivialization (solver_seed adds a seeded global 2-cocycle) cannot move it.
 rho = quaternion_rho("i")
 print("  stable under re-solves:", {str(cs_invariant(datum, rho, solver_seed=s)) for s in range(5)})
 print("  torsor pipeline agrees:", section_class(datum, rho) == cs_invariant(datum, rho))

@@ -34,6 +34,11 @@ EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
 EXIT_PARSE = 4
 
+SEED_HELP = (
+    "add a seeded element of Z^2 (a global 2-cocycle) to the global trivialization; "
+    "invariants must not change"
+)
+
 
 def _load_main(path, cls):
     """The document's main object, or its unique object of the wanted type."""
@@ -181,13 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="Chern-Simons invariant by local-vs-global gluing")
     p.add_argument("--datum", required=True)
     p.add_argument("--rho", required=True)
-    p.add_argument("--seed", type=int, default=None, help="permute the solver's variable order")
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("section", help="global section restricted to the places")
     p.add_argument("--datum", required=True)
     p.add_argument("--rho", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     p.set_defaults(func=_cmd_section)
 
     p = sub.add_parser("kummer", help="trivialization from a lift to Z/m^2")

@@ -89,6 +89,7 @@ class Cochain:
     __slots__ = ("coeffs", "degree", "values")
 
     def __init__(self, coeffs: GModuleAction, degree: int, values):
+        degree = _element(degree, "degree")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         m = coeffs.group.order
@@ -258,9 +259,9 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     mod the coordinate's cyclic order.  Scaling and reduction happen in
     place, so building d holds one copy of it.  This is the only cached dense
     copy of d.  ``_factored_differential`` factors it once for
-    ``solve_differential`` and ``cohomology``; the ``column_order`` solves,
-    ``normalized_representative`` and the local invariants eliminate
-    matrices derived from it (permuted, a row subset, one extra column).
+    ``solve_differential`` and ``cohomology``; ``normalized_representative``
+    and the local invariants eliminate matrices derived from it (a row
+    subset, one extra column).
     """
     d = _differential_matrix(coeffs, i)
     d *= _row_scales(coeffs, i + 1)[:, None]
@@ -272,47 +273,32 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
 def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
     """``factorize`` of ``_scaled_differential(coeffs, i)``, cached.
 
-    Its k is the right kernel that ``cohomology`` reads, and its ``solve``
-    serves every ``solve_differential`` without ``column_order``, so each
-    d is eliminated once however many targets are solved against it.  Its
-    h, with one row per pivot and one column per coordinate of C^(i+1), is
-    stored in the narrow dtype of ``zmod._form_dtype``.
+    Its k is the right kernel that ``cohomology`` reads and that seeded global
+    trivializations sample from, and its ``solve`` serves every
+    ``solve_differential``, so each d is eliminated once however many targets
+    are solved against it.  Its h, with one row per pivot and one column per
+    coordinate of C^(i+1), is stored in the narrow dtype of
+    ``zmod._form_dtype``.
     """
     return factorize(_scaled_differential(coeffs, i), coeffs.modulus)
 
 
-def solve_differential(
-    coeffs: GModuleAction,
-    degree: int,
-    target: Cochain,
-    *,
-    column_order: np.ndarray | None = None,
-) -> Cochain | None:
+def solve_differential(coeffs: GModuleAction, degree: int, target: Cochain) -> Cochain | None:
     """Solve d x = target for x in C^degree; None when no solution exists.
 
     The returned solution is the canonical one under leftmost-pivot solving,
     a back-substitution against the cached ``_factored_differential``, so
     only the first solve on a differential (or a ``cohomology`` before it)
-    eliminates d.  ``column_order`` permutes the unknowns first (used to
-    confirm that downstream invariants do not depend on the solver's
-    variable order); that permuted d is factored afresh on every call.
-    The target must be a cochain on ``coeffs`` of degree ``degree + 1``.
+    eliminates d.  Every other solution is x plus a cocycle, a combination of
+    the rows of that factorization's k.  The target must be a cochain on
+    ``coeffs`` of degree ``degree + 1``.
     """
     if target.degree != degree + 1:
         raise ValueError("target degree must be degree + 1")
     if target.coeffs != coeffs:
         raise ValueError("target lives on other coefficients than the ones solved over")
-    if column_order is None:
-        sol = _factored_differential(coeffs, degree).solve(_scaled(target))
-        return None if sol is None else Cochain(coeffs, degree, sol.particular)
-    a = _scaled_differential(coeffs, degree)
-    perm = np.asarray(column_order, dtype=np.int64)
-    sol = solve_linear(a[:, perm], _scaled(target), coeffs.modulus)
-    if sol is None:
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    x[perm] = sol.particular
-    return Cochain(coeffs, degree, x)
+    sol = _factored_differential(coeffs, degree).solve(_scaled(target))
+    return None if sol is None else Cochain(coeffs, degree, sol.particular)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +382,7 @@ class CohomologyGroup:
         return tuple(int(x) % d for x, d in zip(moved, self.invariant_factors))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     """Compute H^degree(G, M) = ker d / im d by canonical forms.
 
@@ -407,7 +393,10 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     lattice.  ``diagonalize_mod`` of the coboundary relations written in that
     basis gives the invariant factors, the column transform behind
     ``coordinates``, and the inverse transform that yields the generators.
+    The cache is typed, so a bool or float degree, equal to an int as a key,
+    misses it and is refused.
     """
+    degree = _element(degree, "degree")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if degree + 1 > DEFAULT_DEGREE_CAP:

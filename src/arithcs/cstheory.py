@@ -32,6 +32,7 @@ from .cochains import (
     differential,
     pullback,
     solve_differential,
+    _factored_differential,
     _scaled,
     _scaled_differential,
 )
@@ -113,7 +114,7 @@ class PlaceDatum:
     inv_normalization: int
 
     def __post_init__(self):
-        object.__setattr__(self, "inertia", tuple(sorted(set(int(x) for x in self.inertia))))
+        object.__setattr__(self, "inertia", tuple(sorted({_element(x, "inertia element") for x in self.inertia})))
         if self.embedding.dom != self.local_group:
             raise ValueError("embedding must start at the local group")
         if self.h2_generator.group != self.local_group or self.h2_generator.degree != 2:
@@ -466,17 +467,22 @@ def unramified_basepoint(datum: GlobalDatum, rho: GroupHom) -> tuple[Cochain, ..
 
 
 def _global_trivialization(datum: GlobalDatum, rho: GroupHom, solver_seed) -> Cochain:
+    """A global a with da = c o rho: the canonical solution, plus, with a
+    ``solver_seed``, a uniform element of Z^2 made from the rows of the
+    cached factorization's kernel k (one small product, no elimination)."""
     if rho.dom != datum.global_group or rho.cod != datum.gauge_group:
         raise ValueError("rho must map the global group to the gauge group")
     cpull = pullback(rho, datum.three_cocycle)
-    order = None
-    if solver_seed is not None:
-        order = np.random.default_rng(solver_seed).permutation(cpull.group.order ** 2)
-    a = solve_differential(cpull.coeffs, 2, cpull, column_order=order)
+    coeffs = cpull.coeffs
+    a = solve_differential(coeffs, 2, cpull)
     if a is None:
         raise NoGlobalTrivializationError(
             "the pulled-back 3-cocycle is nontrivial on the global group"
         )
+    if solver_seed is not None:
+        k = _factored_differential(coeffs, 2).k
+        c = np.random.default_rng(solver_seed).integers(0, coeffs.modulus, len(k))
+        a = a + Cochain(coeffs, 2, c @ k)
     return a
 
 
@@ -489,8 +495,9 @@ def cs_invariant(datum: GlobalDatum, rho: GroupHom, *, solver_seed: int | None =
     depend on the choice of a (reciprocity, validated separately) and is
     constant on conjugation orbits of rho.
 
-    ``solver_seed`` permutes the solver's variable order; the value must not
-    change.
+    ``solver_seed`` adds a seeded element of Z^2 (a global 2-cocycle) to the
+    canonical a, so it picks another global trivialization; the value must
+    not change.
     """
     a = _global_trivialization(datum, rho, solver_seed)
     total = InvariantValue(0, datum.modulus)
@@ -509,7 +516,9 @@ def cs_section(datum: GlobalDatum, rho: GroupHom, *, solver_seed: int | None = N
 
     Its class in the pushout torsor does not depend on the choice of beta:
     two choices differ by a global 2-cocycle, whose restrictions have local
-    invariants summing to zero by reciprocity.
+    invariants summing to zero by reciprocity.  ``solver_seed`` adds a seeded
+    element of Z^2 to the canonical beta, which changes the components but
+    not that class.
     """
     beta = _global_trivialization(datum, rho, solver_seed)
     return tuple(p.restrict(beta) for p in datum.places)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zmod import ModuleOverZn, _element, _freeze
+from .zmod import ModuleOverZn, _element, _elements, _freeze
 
 
 class NotAGroupError(ValueError):
@@ -66,7 +66,7 @@ class FiniteGroup:
         return bool(np.array_equal(self.mul, self.mul.T))
 
     def is_subgroup(self, subset) -> bool:
-        s = sorted(set(int(x) for x in subset))
+        s = _subset(subset)
         if not s or s[0] != 0 or any(not 0 <= x < self.order for x in s):
             return False
         inside = set(s)
@@ -77,7 +77,7 @@ class FiniteGroup:
     def is_normal(self, subset) -> bool:
         if not self.is_subgroup(subset):
             return False
-        inside = set(int(x) for x in subset)
+        inside = set(_subset(subset))
         return all(
             self.op(self.op(g, h), self.inv(g)) in inside
             for g in self.elements()
@@ -86,13 +86,19 @@ class FiniteGroup:
 
     def quotient_by(self, subset) -> tuple["FiniteGroup", "GroupHom"]:
         """Quotient by a normal subgroup; cosets ordered by minimal element."""
-        if not self.is_normal(subset):
-            raise NotAGroupError(f"subset {sorted(subset)} is not a normal subgroup")
-        inside = set(int(x) for x in subset)
+        inside = _subset(subset)
+        if not self.is_normal(inside):
+            raise NotAGroupError(f"subset {inside} is not a normal subgroup")
         coset_of = {g: tuple(sorted(self.op(g, h) for h in inside)) for g in self.elements()}
         cosets = sorted(set(coset_of.values()))  # the identity coset contains 0, so it is first
         quot = _table_group(cosets, lambda c, d: coset_of[self.op(c[0], d[0])])
         return quot, GroupHom(self, quot, [cosets.index(coset_of[g]) for g in self.elements()])
+
+
+def _subset(subset) -> list[int]:
+    """The distinct elements of ``subset`` in increasing order, each read by
+    ``_element``, so a float or bool raises instead of being truncated."""
+    return sorted({_element(x) for x in subset})
 
 
 def make_group(mul_table) -> FiniteGroup:
@@ -102,7 +108,7 @@ def make_group(mul_table) -> FiniteGroup:
     inverse, and the table must be associative.  Failures raise NotAGroupError
     carrying a witness.
     """
-    mul = np.asarray(mul_table, dtype=np.int64)
+    mul = _elements(mul_table, "table entry")
     if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
         raise NotAGroupError("multiplication table must be square")
     m = mul.shape[0]
@@ -182,7 +188,7 @@ class GroupHom:
 
 def make_hom(dom: FiniteGroup, cod: FiniteGroup, mapping) -> GroupHom:
     """Validate mapping(g*h) == mapping(g)*mapping(h) on all pairs."""
-    mp = np.asarray(mapping, dtype=np.int64)
+    mp = _elements(mapping, "map entry")
     if mp.shape != (dom.order,):
         raise NotAHomError("map table has the wrong length")
     if mp.min() < 0 or mp.max() >= cod.order:
@@ -216,7 +222,7 @@ def conjugation_hom(g: FiniteGroup, a: int) -> GroupHom:
 
 def inclusion_hom(sub_elements, g: FiniteGroup) -> GroupHom:
     """Embed the abstract group on ``sub_elements`` (a subgroup of g) into g."""
-    elems = sorted(set(int(x) for x in sub_elements))
+    elems = _subset(sub_elements)
     if not g.is_subgroup(elems):
         raise NotAGroupError(f"{elems} is not a subgroup")
     return make_hom(_table_group(elems, g.op), g, elems)
@@ -296,7 +302,7 @@ class GModuleAction:
     matrices: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=np.int64).copy()
+        mats = _elements(self.matrices, "action matrix entry").copy()
         r = self.module.rank
         if mats.shape != (self.group.order, r, r):
             raise ValueError("need one r x r matrix per group element")
@@ -347,12 +353,12 @@ class GModuleAction:
     @classmethod
     def by_units(cls, group: FiniteGroup, module: ModuleOverZn, units) -> "GModuleAction":
         """Scalar action: element g acts as multiplication by units[g]."""
-        units = np.asarray(units, dtype=np.int64)
+        units = _elements(units, "unit")
         eye = np.eye(module.rank, dtype=np.int64)
         return cls(group, module, units[:, None, None] * eye[None])
 
     @classmethod
     def by_character(cls, hom: GroupHom, module: ModuleOverZn, unit: int) -> "GModuleAction":
         """g acts as multiplication by unit**hom(g); hom targets a cyclic group."""
-        units = [pow(int(unit), int(e), module.modulus) for e in hom.map]
+        units = [pow(_element(unit, "unit"), int(e), module.modulus) for e in hom.map]
         return cls.by_units(hom.dom, module, units)

@@ -137,7 +137,7 @@ def run_checks(seed: int):
     ok = qv.numerator == 1 and all(
         cs_invariant(qd, qrho, solver_seed=s) == qv for s in range(5)
     )
-    yield "quaternion invariant is 1/2, solver-order independent", ok, ""
+    yield "quaternion invariant is 1/2 for seeded global trivializations", ok, ""
     yield "quaternion pipelines agree", section_class(qd, qrho) == qv, ""
 
     ad = toy_abelian_datum()

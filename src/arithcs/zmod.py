@@ -29,9 +29,10 @@ Matrices are plain 2-D int64 array-likes with any integer entries, and the
 modulus n comes last: ``howell_form(a, n)``, ``solve_linear(a, b, n)``,
 ``diagonalize_mod(a, n)``.  The routines reduce their inputs mod n
 themselves, never modify them and return new int64 arrays.  Integer
-arguments (moduli, cyclic orders) are read by ``_element``, which refuses
-bools and floats instead of truncating them.  All arithmetic is exact; there
-is no floating point in this package.
+arguments (moduli, cyclic orders) are read by ``_element``, and the integer
+tables of the group layer (multiplication tables, maps, units) by its array
+counterpart ``_elements``; both refuse bools and floats instead of truncating
+them.  All arithmetic is exact; there is no floating point in this package.
 """
 
 from __future__ import annotations
@@ -71,6 +72,20 @@ def _element(x, what: str = "element") -> int:
         return operator.index(x)
     except TypeError:
         raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
+def _elements(values, what: str) -> np.ndarray:
+    """The array counterpart of ``_element``: integer entries as an int64
+    array.  An array must have an integer dtype; a (nested) list is read
+    entry by entry, because numpy would promote a bool among ints to an int.
+    """
+    if isinstance(values, np.ndarray):
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"{what} dtype {values.dtype} is not an integer dtype")
+    else:
+        for x in np.asarray(values, dtype=object).flat:
+            _element(x, what)
+    return np.asarray(values, dtype=np.int64)
 
 
 def _check_modulus(n: int) -> int:

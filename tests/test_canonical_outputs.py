@@ -225,8 +225,8 @@ def test_cohomology_generators_and_coordinates(name):
 
 
 DIFFERENTIAL = {
-    "S3;Z/3": "209416f44d499e97fb5535d6eabb5543967116a0c261854a4683c96fc47fa387",
-    "Z/6;Z/4 twisted": "4bd0cc79c76e0af2b8ae13848cbd552178266ee704a35f60c2d3d52a717a0f47",
+    "S3;Z/3": "dd3ea63510e86fd1e1e79f3886dc7393976075693270b292ed7cff0c1ad350dd",
+    "Z/6;Z/4 twisted": "a7753b2478b9ea29270bdb70f00a6ce4d983a586c579908a15bf75eed2c3ff77",
 }
 
 
@@ -244,10 +244,8 @@ def test_solve_differential_and_classify_preimage(name):
         x = Cochain(coeffs, degree, rng.integers(0, n, size=(m**degree, r)))
         target = differential(x)
         plain = solve_differential(coeffs, degree, target)
-        order = rng.permutation(m**degree * r)
-        permuted = solve_differential(coeffs, degree, target, column_order=order)
-        assert differential(plain) == target == differential(permuted)
-        d.add(plain.values, permuted.values)
+        assert differential(plain) == target
+        d.add(plain.values)
         result = classify(target)
         assert isinstance(result, Coboundary)
         d.add(result.preimage.values)
@@ -260,6 +258,7 @@ CLI_REQUESTS = {
     "invariant-toy-seed": (["invariant", "--datum", "toy_datum.json", "--rho", "toy_rho.json", "--seed", "7"], 0),
     "invariant-abelian": (["invariant", "--datum", "toy_abelian_datum.json", "--rho", "toy_abelian_rho.json"], 0),
     "section": (["section", "--datum", "toy_datum.json", "--rho", "toy_rho.json"], 0),
+    "section-toy-seed": (["section", "--datum", "toy_datum.json", "--rho", "toy_rho.json", "--seed", "7"], 0),
     "validate-balanced": (["validate", "--datum", "balanced_reciprocity.json"], 0),
     "validate-broken": (["validate", "--datum", "broken_reciprocity.json"], 2),
     "classify-carry": (["classify", "--cochain", "carry_mod3.json"], 0),
@@ -275,6 +274,7 @@ CLI = {
     "invariant-toy-seed": "3d81deed66227af7764d6b00d042cffa7a3b1040179d3b164023802dcc5ec453",
     "invariant-abelian": "3d81deed66227af7764d6b00d042cffa7a3b1040179d3b164023802dcc5ec453",
     "section": "729ff809b819933be9d1176cea322b80e11d54c88fe935b8d2fe6364f4f357ac",
+    "section-toy-seed": "c3bfbd79ef8d961c69781e1d6af30631f36bc50efc1a32ae34429d8b9cade0d6",
     "validate-balanced": "ed02d95c70fef79fba9edacc6853c1621dad3c537d54f9d8878b52f34664cb7e",
     "validate-broken": "6bd7eb5e75b518a46ce3826e62f5d82dc35682540ee2fe17a9fdfa0a9a2bfa38",
     "classify-carry": "116ae832bef0aae39a6e9a3a52c853e8ac681101a0339b5194bfd536cb359708",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithcs import zmod
+from arithcs import cstheory, dataio, zmod
 from arithcs.cochains import (
     Cochain,
     Coboundary,
@@ -22,6 +22,8 @@ from arithcs.cochains import (
     pullback,
     solve_differential,
 )
+from arithcs.cstheory import _global_trivialization, cs_invariant, section_class
+from arithcs.fixtures import quaternion_datum, quaternion_rho
 from arithcs.groups import (
     GModuleAction,
     cyclic,
@@ -135,6 +137,24 @@ def test_scalar_multiples_read_the_scalar_strictly():
     for scalar in (1.5, 1.0, True):
         with pytest.raises(ValueError, match="scalar"):
             scalar * f
+
+
+def test_degrees_are_read_strictly():
+    coeffs = triv(Z2, 2)
+    assert Cochain(coeffs, np.int64(1), [0, 1]).degree == 1
+    for degree in (True, 1.0):
+        with pytest.raises(ValueError, match="degree"):
+            Cochain(coeffs, degree, [0, 1])
+    # the cache is typed: True == 1 as a key, yet it neither fills nor hits the degree-1 entry
+    cohomology.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degree True is a bool"):
+            cohomology(coeffs, True)
+        h1 = cohomology(coeffs, 1)
+        assert type(h1.degree) is int and all(type(g.degree) is int for g in h1.generators)
+    dataio.serialize_object(h1.generators[0])
+    with pytest.raises(ValueError, match="degree 1.0 is not an integer"):
+        cohomology(coeffs, 1.0)
 
 
 def test_degree_cap():
@@ -267,17 +287,44 @@ def test_pullback_commutes_with_differential():
                 assert pullback(rho, differential(f)) == differential(pullback(rho, f))
 
 
-def test_solve_differential_with_permuted_columns():
-    rng = np.random.default_rng(5)
-    coeffs = triv(Z4, 2)
-    beta = Cochain.random(coeffs, 1, rng)
-    f = differential(beta)
-    base = solve_differential(coeffs, 1, f)
-    assert base is not None and differential(base) == f
+def test_seeded_global_trivializations_reuse_the_factorization(monkeypatch):
+    datum, rho = quaternion_datum(), quaternion_rho()
+    c_rho = pullback(rho, datum.three_cocycle)
+    base = _global_trivialization(datum, rho, None)
+    invariant, section = cs_invariant(datum, rho), section_class(datum, rho)
+    calls = []
+    real = zmod._howell_rows
+
+    def spy(mat, n):
+        calls.append(mat.shape)
+        return real(mat, n)
+
+    monkeypatch.setattr(zmod, "_howell_rows", spy)
+    seeded = [_global_trivialization(datum, rho, seed) for seed in range(5)]
+    assert calls == []  # every seeded a' comes from the cached factorization
+    for a in seeded:
+        assert differential(a) == c_rho
+    assert len({a.values.tobytes() for a in [base, *seeded]}) >= 2
     for seed in range(5):
-        perm = np.random.default_rng(seed).permutation(base.values.size)
-        other = solve_differential(coeffs, 1, f, column_order=perm)
-        assert other is not None and differential(other) == f
+        assert cs_invariant(datum, rho, solver_seed=seed) == invariant
+        assert section_class(datum, rho, solver_seed=seed) == section
+    # a seeded cs_invariant eliminates only what an unseeded one does (the
+    # local invariants' small solves) and solves on the global group once
+    calls.clear()
+    cs_invariant(datum, rho)
+    unseeded = list(calls)
+    calls.clear()
+    solved_on = []
+    real_solve = cstheory.solve_differential
+
+    def solve_spy(coeffs, degree, target):
+        solved_on.append(target.group)
+        return real_solve(coeffs, degree, target)
+
+    monkeypatch.setattr(cstheory, "solve_differential", solve_spy)
+    cs_invariant(datum, rho, solver_seed=7)
+    assert calls == unseeded
+    assert solved_on.count(datum.global_group) == 1
 
 
 def test_solve_differential_refuses_targets_on_other_coefficients():

@@ -81,6 +81,16 @@ def test_invariant_value_reads_integers_strictly():
             InvariantValue(numerator, modulus)
 
 
+def test_place_inertia_is_read_strictly():
+    place = quaternion_datum().places[0]  # local group Z/2, all of it inertia
+    fields = dict(local_group=place.local_group, embedding=place.embedding,
+                  h2_generator=place.h2_generator, inv_normalization=place.inv_normalization)
+    assert PlaceDatum(inertia=(np.int64(1), 0, 1), **fields).inertia == (0, 1)
+    for inertia in ((0, 1.9), (0, 1.0), (0, True)):
+        with pytest.raises(ValueError, match="inertia element"):
+            PlaceDatum(inertia=inertia, **fields)
+
+
 def _generates_summand_by_search(factors, coords, n):
     """The class has order n and some f: Z/d_1 + ... -> Z/n sends it to 1."""
     order = next(k for k in itertools.count(1) if all(k * c % d == 0 for d, c in zip(factors, coords)))

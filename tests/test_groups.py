@@ -169,6 +169,27 @@ def test_inclusion_hom():
     assert inc(1) == 2
 
 
+def test_tables_and_maps_read_entries_strictly():
+    # numpy integer arrays pass; float and bool entries raise, in lists and arrays alike
+    assert make_group(np.array([[0, 1], [1, 0]], dtype=np.uint8)) == cyclic(2)
+    assert make_hom(cyclic(2), cyclic(2), np.array([0, 1], dtype=np.int32)) == identity_hom(cyclic(2))
+    for table in ([[0.0, 1.0], [1.0, 0.2]], [[0, 1], [1, True]], np.array([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ValueError, match="table entry"):
+            make_group(table)
+    for mapping in ([0, 1.5], [False, True], [0, True], np.array([0.0, 1.0]), np.array([False, True])):
+        with pytest.raises(ValueError, match="map entry"):
+            make_hom(cyclic(2), cyclic(2), mapping)
+
+
+def test_subsets_read_elements_strictly():
+    z4 = cyclic(4)
+    assert z4.is_subgroup(np.array([0, 2])) and inclusion_hom((np.int64(2), 0), z4).map.tolist() == [0, 2]
+    for subset in ([0, 2.5], [0, 2.9], [0, 2.0], [0, True]):
+        for call in (z4.is_subgroup, z4.is_normal, z4.quotient_by, lambda s: inclusion_hom(s, z4)):
+            with pytest.raises(ValueError, match="not an integer"):
+                call(subset)
+
+
 def test_sign_hom():
     s3 = symmetric3()
     sign = s3_sign_hom(s3, cyclic(2))
@@ -196,6 +217,21 @@ def test_action_of_order_three_on_z9():
     assert not act.is_trivial()
     assert list(act.apply(1, [1])) == [4]
     assert list(act.apply(2, [1])) == [7]
+
+
+def test_actions_read_units_strictly():
+    z4, mod4 = cyclic(4), ModuleOverZn.cyclic(4)
+    by_three = GModuleAction.by_character(identity_hom(z4), mod4, 3)
+    assert GModuleAction.by_character(identity_hom(z4), mod4, np.int64(3)) == by_three
+    assert GModuleAction.by_units(z4, mod4, np.array([1, 3, 1, 3], dtype=np.int8)) == by_three
+    for unit in (3.7, 3.0, True):
+        with pytest.raises(ValueError, match="unit"):
+            GModuleAction.by_character(identity_hom(z4), mod4, unit)
+    for units in ([1, 3.5, 1, 3.5], [1, 3, 1, True], np.array([1.0, 3.0, 1.0, 3.0])):
+        with pytest.raises(ValueError, match="unit"):
+            GModuleAction.by_units(z4, mod4, units)
+    with pytest.raises(ValueError, match="action matrix entry"):
+        GModuleAction(z4, mod4, np.ones((4, 1, 1)))
 
 
 def test_action_rejects_nonmultiplicative_units():
