@@ -154,7 +154,7 @@ class GroupHom:
     def __init__(self, dom: FiniteGroup, cod: FiniteGroup, mapping: np.ndarray):
         self.dom = dom
         self.cod = cod
-        self.map = _freeze(np.asarray(mapping, dtype=np.int64).copy())
+        self.map = _freeze(_elements(mapping, "map entry").copy())
 
     def __call__(self, g: int) -> int:
         return int(self.map[g])

@@ -7,10 +7,11 @@ transform and left kernel; it serves ``howell_form``, ``left_kernel``,
 ``factorize`` and ``lattice_basis``.  Howell form is the unique canonical
 row form for Z/n-row spaces (Z/n is not a field), so it is used wherever
 membership in a row space has to be decided.  For n == 2 it eliminates on
-bit-packed rows (``_howell_rows_gf2``), for any other n on int64 rows
-(``_howell_rows_int64``); the two give equal results over Z/2.  Both store
-the form h in the narrowest unsigned dtype that holds n - 1 (uint8 up to
-n = 256, uint16 up to ``MAX_MODULUS``), the transform and kernel in int64.
+bit-packed rows (``_howell_rows_gf2``), for any other n on rows stored in
+the narrowest unsigned dtype that holds n - 1 (uint8 up to n = 256, uint16
+up to ``MAX_MODULUS``), updating only the columns where the pivot row is
+nonzero, in int64 (``_howell_rows_int64``); the two give equal results over
+Z/2.  Both return the form h in that dtype, the transform and kernel in int64.
 
 ``factorize(a, n)`` keeps (h, u, k) of ``_howell_rows(a.T, n)`` as a
 ``Factorization``, whose ``solve`` answers a @ x == b for one b by
@@ -192,7 +193,8 @@ def _howell_rows(mat: np.ndarray, n: int):
     and the rows of k generate the left kernel {x : x @ mat == 0}.  h has
     dtype ``_form_dtype(n)``, u and k are int64.  Over Z/2 the bit-packed
     ``_howell_rows_gf2`` runs; every other modulus runs
-    ``_howell_rows_int64``.  Both return the same arrays for n == 2.
+    ``_howell_rows_int64`` on ``_form_dtype(n)`` rows.  Both return the same
+    arrays for n == 2.
     """
     return _howell_rows_gf2(mat) if n == 2 else _howell_rows_int64(mat, n)
 
@@ -203,55 +205,67 @@ def _form_dtype(n: int) -> type:
 
 
 def _howell_rows_int64(mat: np.ndarray, n: int):
-    """``_howell_rows`` for any modulus, on int64 rows.
+    """``_howell_rows`` for any modulus, with int64 arithmetic on narrow rows.
 
-    Each working row is [mat[i] | e_i], so one row operation updates the row
-    and its transform together; h and u are the two column blocks at the end.
+    The working rows [mat[i] | e_i] are one array of dtype ``_form_dtype(n)``
+    with spare rows for annihilators, so a row operation updates a row and
+    its transform together; h and u are the two column blocks at the end.
+    Per pivot column, each run of rows whose entry the pivot divides is
+    reduced in one batched ``_subtract``, and the gcd steps between runs are
+    two-row operations: the operations and their order of a row-by-row sweep.
     """
     nrows, ncols = mat.shape
-    # one array per row: row views into a shared [mat | I] buffer would keep
-    # the whole buffer alive until the last of them is replaced
-    rows = []
-    for i in range(nrows):
-        row = np.zeros(ncols + nrows, dtype=np.int64)
-        row[:ncols] = mat[i] % n
-        row[ncols + i] = 1
-        rows.append(row)
-    r = 0
+    work = np.zeros((nrows, ncols + nrows), dtype=_form_dtype(n))
+    # reduce a few rows at a time, so that ``% n`` never copies the whole matrix
+    step = max(1, (1 << 18) // max(ncols, 1))
+    for i in range(0, nrows, step):
+        work[i : i + step, :ncols] = mat[i : i + step] % n
+    work[np.arange(nrows), ncols + np.arange(nrows)] = 1
+    live, r = nrows, 0
     for c in range(ncols):
-        pivot = next((j for j in range(r, len(rows)) if rows[j][c]), None)
-        if pivot is None:
+        vals = work[r:live, c].astype(np.int64)
+        nz = np.flatnonzero(vals)
+        if nz.size == 0:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                a, b = int(rows[r][c]), int(rows[i][c])
-                if b % a == 0:
-                    rows[i] = (rows[i] - (b // a) * rows[r]) % n
-                else:
-                    g, x, y = _xgcd(a, b)
-                    rows[r], rows[i] = (
-                        (x * rows[r] + y * rows[i]) % n,
-                        ((-(b // g)) * rows[r] + (a // g) * rows[i]) % n,
-                    )
-        u = unit_lift(int(rows[r][c]), n)
+        # rows r.. are zero left of c, so every operation below starts at c
+        work[[r, r + nz[0]], c:] = work[[r + nz[0], r], c:]
+        a, below, b = int(vals[nz[0]]), r + nz[1:], vals[nz[1:]]
+        while (stop := np.flatnonzero(b % a)).size:
+            i, bi = stop[0], int(b[stop[0]])
+            _subtract(work, below[:i], b[:i] // a, r, c, n)
+            g, x, y = _xgcd(a, bi)
+            pair = work[[r, below[i]], c:].astype(np.int64)
+            work[[r, below[i]], c:] = np.array([[x, y], [-(bi // g), a // g]]) @ pair % n
+            a, below, b = g, below[i + 1 :], b[i + 1 :]
+        _subtract(work, below, b // a, r, c, n)
+        u = unit_lift(a, n)
         if u != 1:
-            rows[r] = (u * rows[r]) % n
-        p = int(rows[r][c])
-        for i in range(r):
-            q = int(rows[i][c]) // p
-            if q:
-                rows[i] = (rows[i] - q * rows[r]) % n
-        t = annihilator(p, n)
-        if t:
-            rows.append((t * rows[r]) % n)
+            work[r, c:] = u * work[r, c:].astype(np.int64) % n
+        q = work[:r, c].astype(np.int64) // int(work[r, c])
+        _subtract(work, np.flatnonzero(q), q[q != 0], r, c, n)
+        if t := annihilator(int(work[r, c]), n):
+            if live == len(work):
+                work = np.concatenate([work, np.zeros_like(work[: live // 2 + 1])])
+            work[live, c:] = t * work[r, c:].astype(np.int64) % n
+            live += 1
         r += 1
-    h = np.array([row[:ncols] for row in rows[:r]], dtype=_form_dtype(n)).reshape(r, ncols)
-    u = np.array([row[ncols:] for row in rows[:r]], dtype=np.int64).reshape(r, nrows)
-    kernel = [row[ncols:] for row in rows[r:] if row[ncols:].any()]
-    k = np.array(kernel, dtype=np.int64).reshape(len(kernel), nrows)
-    return h, u, k
+    k = work[r:live, ncols:]
+    return work[:r, :ncols].copy(), work[:r, ncols:].astype(np.int64), k[k.any(axis=1)].astype(np.int64)
+
+
+def _subtract(work: np.ndarray, rows: np.ndarray, q: np.ndarray, r: int, c: int, n: int):
+    """work[rows] -= q * work[r] mod n, where work[r] is zero left of column c."""
+    # entries are in [0, n), so only the columns where work[r] is nonzero change
+    cols = c + np.flatnonzero(work[r, c:])
+    pivot = work[r, cols].astype(np.int64)
+    # a few rows at a time, so that the int64 block stays small
+    step = max(1, (1 << 18) // work.shape[1])
+    for i in range(0, rows.size, step):
+        block = work[rows[i : i + step]]
+        x = block.take(cols, axis=1).astype(np.int64) - q[i : i + step, None] * pivot
+        # x // n is a division by a constant, which numpy does much faster than x % n
+        block[:, cols] = x - x // n * n
+        work[rows[i : i + step]] = block
 
 
 def _pack(bits: np.ndarray, width: int) -> np.ndarray:
@@ -471,7 +485,9 @@ def _clear(a: np.ndarray, k: int, n: int, v: np.ndarray | None = None, w: np.nda
             rows = multiples + k + 1
             q = a[rows, k] // p
             for mat in mats:
-                mat[rows] = (mat[rows] - q[:, None] * mat[k][None, :]) % n
+                # entries are in [0, n), so a zero entry of row k changes nothing
+                block = np.ix_(rows, np.flatnonzero(mat[k]))
+                mat[block] = (mat[block] - q[:, None] * mat[k][block[1]]) % n
             if w is not None:
                 # row k of w picks up q_i times each row i
                 w[k] = (w[k] + q @ w[rows]) % n
@@ -494,7 +510,11 @@ def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarr
     the column transform v satisfies: x is in the lattice iff (x @ v)[j] == 0
     mod factors[j] for all j, and w = v^{-1} mod n recovers preimages.
     Everything is computed with entries reduced mod n, which is harmless
-    because the lattice contains n*Z^w.
+    because the lattice contains n*Z^w.  Each pivot is the first smallest
+    nonzero entry of a[k:, k:] in row-major order.  Rows k.. are zero left
+    of column k, so it is the first smallest entry of the first row whose
+    ``least``, its smallest nonzero entry, is smallest; ``least`` is
+    recomputed only for the rows that an operation touched.
     """
     a, n = _matrix(mat, n)
     a = a % n
@@ -502,36 +522,35 @@ def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarr
     m, width = a.shape
     v = np.eye(width, dtype=np.int64)
     w = np.eye(width, dtype=np.int64)
-    for k in range(min(m, width)):
-        while True:
-            # smallest nonzero entry of the trailing block, first in row-major order
-            sub = a[k:, k:]
-            masked = np.where(sub == 0, n, sub)
-            i, j = divmod(int(masked.argmin()), masked.shape[1])
-            if masked[i, j] == n:
-                break
-            i, j = i + k, j + k
-            if i != k:
-                a[[k, i]] = a[[i, k]]
-            if j != k:
-                a[:, [k, j]] = a[:, [j, k]]
-                v[:, [k, j]] = v[:, [j, k]]
-                w[[k, j]] = w[[j, k]]
-            _clear(a, k, n)
-            if a[k, k + 1 :].any():
-                # column operations on a are row operations on a.T
-                _clear(a.T, k, n, v.T, w)
-                continue
-            if a[k + 1 :, k].any():
-                continue
-            p = int(a[k, k])
-            if p == 1:
-                # 1 divides every entry of the trailing block
-                break
-            rem = a[k + 1 :, k + 1 :] % p
-            bad = np.argwhere(rem)
-            if bad.size == 0:
-                break
+    # touched: every row at first, then the rows the last step changed
+    least, touched = np.full(m, n), slice(None)
+    k = 0
+    while k < min(m, width):
+        least[touched] = np.where(a[touched] == 0, n, a[touched]).min(axis=1, initial=n)
+        i = k + int(least[k:].argmin())
+        if least[i] == n:  # the trailing block is zero
+            break
+        j = int((a[i] == least[i]).argmax())
+        a[[k, i]] = a[[i, k]]
+        least[[k, i]] = least[[i, k]]
+        a[:, [k, j]] = a[:, [j, k]]
+        v[:, [k, j]] = v[:, [j, k]]
+        w[[k, j]] = w[[j, k]]
+        touched = k + np.flatnonzero(a[k:, k])
+        _clear(a, k, n)
+        if a[k, k + 1 :].any():
+            # column operations on a are row operations on a.T; they touch
+            # the rows with a nonzero in some column where row k has one
+            touched = np.union1d(touched, k + np.flatnonzero(a[k:, a[k] != 0].any(axis=1)))
+            _clear(a.T, k, n, v.T, w)
+            continue
+        p = int(a[k, k])
+        # 1 divides every entry of the trailing block
+        bad = np.argwhere(a[k + 1 :, k + 1 :] % p) if p != 1 else ()
+        if len(bad):
+            # row k, which this changes, is among the touched rows
             a[k] = (a[k] + a[int(bad[0, 0]) + k + 1]) % n
+            continue
+        k += 1
     factors = [gcd(int(a[j, j]) if j < min(m, width) else 0, n) for j in range(width)]
-    return factors, v % n, w % n
+    return factors, v, w

@@ -6,6 +6,7 @@ import pytest
 
 from arithcs.groups import (
     GModuleAction,
+    GroupHom,
     NotAGroupError,
     NotAHomError,
     conjugation_hom,
@@ -176,9 +177,12 @@ def test_tables_and_maps_read_entries_strictly():
     for table in ([[0.0, 1.0], [1.0, 0.2]], [[0, 1], [1, True]], np.array([[0.0, 1.0], [1.0, 0.0]])):
         with pytest.raises(ValueError, match="table entry"):
             make_group(table)
+    assert GroupHom(cyclic(2), cyclic(2), np.array([0, 1], dtype=np.uint8)) == identity_hom(cyclic(2))
     for mapping in ([0, 1.5], [False, True], [0, True], np.array([0.0, 1.0]), np.array([False, True])):
-        with pytest.raises(ValueError, match="map entry"):
-            make_hom(cyclic(2), cyclic(2), mapping)
+        # the validating make_hom and the unvalidated constructor alike
+        for build in (make_hom, GroupHom):
+            with pytest.raises(ValueError, match="map entry"):
+                build(cyclic(2), cyclic(2), mapping)
 
 
 def test_subsets_read_elements_strictly():

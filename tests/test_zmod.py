@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arithcs.zmod import (
+    MAX_MODULUS,
     ModuleOverZn,
+    _form_dtype,
     _howell_rows_gf2,
     _howell_rows_int64,
+    _xgcd,
     annihilator,
     diagonalize_mod,
     howell_form,
@@ -270,6 +273,180 @@ def test_gf2_engine_equals_int64_engine(rows, cols, data):
     h, u, k = packed
     assert np.array_equal(u @ m % 2, h)
     assert not (k @ m % 2).any()
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the row-by-row Howell elimination and of the
+# diagonalization that rescans its trailing block for every pivot.  The
+# library's engines must apply the same row operations in the same order, so
+# their outputs, transforms and kernels included, must equal these bytewise.
+
+
+def reference_howell_rows(mat: np.ndarray, n: int):
+    """``_howell_rows`` on one int64 array per row [mat[i] | e_i]."""
+    nrows, ncols = mat.shape
+    rows = []
+    for i in range(nrows):
+        row = np.zeros(ncols + nrows, dtype=np.int64)
+        row[:ncols] = mat[i] % n
+        row[ncols + i] = 1
+        rows.append(row)
+    r = 0
+    for c in range(ncols):
+        pivot = next((j for j in range(r, len(rows)) if rows[j][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                a, b = int(rows[r][c]), int(rows[i][c])
+                if b % a == 0:
+                    rows[i] = (rows[i] - (b // a) * rows[r]) % n
+                else:
+                    g, x, y = _xgcd(a, b)
+                    rows[r], rows[i] = (
+                        (x * rows[r] + y * rows[i]) % n,
+                        ((-(b // g)) * rows[r] + (a // g) * rows[i]) % n,
+                    )
+        u = unit_lift(int(rows[r][c]), n)
+        if u != 1:
+            rows[r] = (u * rows[r]) % n
+        p = int(rows[r][c])
+        for i in range(r):
+            q = int(rows[i][c]) // p
+            if q:
+                rows[i] = (rows[i] - q * rows[r]) % n
+        t = annihilator(p, n)
+        if t:
+            rows.append((t * rows[r]) % n)
+        r += 1
+    h = np.array([row[:ncols] for row in rows[:r]], dtype=_form_dtype(n)).reshape(r, ncols)
+    u = np.array([row[ncols:] for row in rows[:r]], dtype=np.int64).reshape(r, nrows)
+    kernel = [row[ncols:] for row in rows[r:] if row[ncols:].any()]
+    k = np.array(kernel, dtype=np.int64).reshape(len(kernel), nrows)
+    return h, u, k
+
+
+def reference_clear(a, k, n, v=None, w=None):
+    """``zmod._clear`` updating whole rows."""
+    mats = (a,) if v is None else (a, v)
+    while True:
+        col = a[k + 1 :, k]
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            return
+        p = int(a[k, k])
+        multiples = nz[col[nz] % p == 0]
+        if multiples.size:
+            rows = multiples + k + 1
+            q = a[rows, k] // p
+            for mat in mats:
+                mat[rows] = (mat[rows] - q[:, None] * mat[k][None, :]) % n
+            if w is not None:
+                w[k] = (w[k] + q @ w[rows]) % n
+            continue
+        i = int(nz[0]) + k + 1
+        b = int(a[i, k])
+        g, x, y = _xgcd(p, b)
+        z, t = -(b // g), p // g
+        for mat in mats:
+            mat[k], mat[i] = (x * mat[k] + y * mat[i]) % n, (z * mat[k] + t * mat[i]) % n
+        if w is not None:
+            w[k], w[i] = (t * w[k] - z * w[i]) % n, (-y * w[k] + x * w[i]) % n
+
+
+def reference_diagonalize_mod(mat, n: int):
+    """``diagonalize_mod`` rescanning the whole trailing block for each pivot."""
+    a = np.asarray(mat, dtype=np.int64) % n
+    a = a[a.any(axis=1)]
+    m, width = a.shape
+    v = np.eye(width, dtype=np.int64)
+    w = np.eye(width, dtype=np.int64)
+    for k in range(min(m, width)):
+        while True:
+            sub = a[k:, k:]
+            masked = np.where(sub == 0, n, sub)
+            i, j = divmod(int(masked.argmin()), masked.shape[1])
+            if masked[i, j] == n:
+                break
+            i, j = i + k, j + k
+            if i != k:
+                a[[k, i]] = a[[i, k]]
+            if j != k:
+                a[:, [k, j]] = a[:, [j, k]]
+                v[:, [k, j]] = v[:, [j, k]]
+                w[[k, j]] = w[[j, k]]
+            reference_clear(a, k, n)
+            if a[k, k + 1 :].any():
+                reference_clear(a.T, k, n, v.T, w)
+                continue
+            if a[k + 1 :, k].any():
+                continue
+            p = int(a[k, k])
+            if p == 1:
+                break
+            rem = a[k + 1 :, k + 1 :] % p
+            bad = np.argwhere(rem)
+            if bad.size == 0:
+                break
+            a[k] = (a[k] + a[int(bad[0, 0]) + k + 1]) % n
+    factors = [gcd(int(a[j, j]) if j < min(m, width) else 0, n) for j in range(width)]
+    return factors, v % n, w % n
+
+
+def assert_same_arrays(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+# up to MAX_MODULUS, so that the int64 headroom of every update is exercised
+EXACT_MODULI = [3, 4, 6, 12, 36, 256, 257, 300, 65521, MAX_MODULUS]
+# the smallest few divisors d with 1 < d < n
+NON_UNITS = {n: [d for d in range(2, n) if n % d == 0][:8] for n in [2, *EXACT_MODULI]}
+
+
+@st.composite
+def sparse_matrices(draw, moduli=EXACT_MODULI):
+    """A sparse matrix over Z/n, maybe scaled by a non-unit, with its n."""
+    n = draw(st.sampled_from(moduli))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    entries = st.integers(0, n - 1) | st.integers(-2 * n, 2 * n) | st.sampled_from([1, n - 1])
+    # mostly zeros, as in a differential
+    cells = st.one_of(st.just(0), st.just(0), st.just(0), entries)
+    m = np.array(draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+    # a non-unit scale makes non-unit pivots: gcd steps and annihilator rows
+    scale = draw(st.sampled_from([1, *NON_UNITS[n]]))
+    return m.reshape(rows, cols) * scale, n
+
+
+def sparse_example(rows: int, cols: int, density: float, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n, size=(rows, cols)) * (rng.random((rows, cols)) < density), n
+
+
+@given(sparse_matrices())
+# batched updates of more rows than one int64 chunk holds, with non-unit pivots
+@example(sparse_example(130, 2100, 0.5, 12, 3))
+@settings(max_examples=300, deadline=None)
+def test_int64_engine_replays_the_row_by_row_elimination(case):
+    m, n = case
+    got, want = _howell_rows_int64(m, n), reference_howell_rows(m, n)
+    assert_same_arrays(got, want)
+    assert got[0].dtype == _form_dtype(n)
+
+
+@given(sparse_matrices([2, *EXACT_MODULI]))
+# a gcd step between columns changes the smallest entry of rows other than k
+@example(sparse_example(12, 10, 0.3, 12, 82))
+@example(sparse_example(90, 60, 0.05, 4, 5))
+@settings(max_examples=300, deadline=None)
+def test_diagonalize_mod_replays_the_rescanning_search(case):
+    m, n = case
+    (factors, *got), (want_factors, *want) = diagonalize_mod(m, n), reference_diagonalize_mod(m, n)
+    assert factors == want_factors
+    assert_same_arrays(got, want)
 
 
 def brute_span_with_n(rows, w, n) -> set:
