@@ -486,8 +486,8 @@ def _clear(a: np.ndarray, k: int, n: int, v: np.ndarray | None = None, w: np.nda
             q = a[rows, k] // p
             for mat in mats:
                 # entries are in [0, n), so a zero entry of row k changes nothing
-                block = np.ix_(rows, np.flatnonzero(mat[k]))
-                mat[block] = (mat[block] - q[:, None] * mat[k][block[1]]) % n
+                cols = np.flatnonzero(mat[k])
+                mat[rows[:, None], cols] = (mat[rows[:, None], cols] - q[:, None] * mat[k, cols]) % n
             if w is not None:
                 # row k of w picks up q_i times each row i
                 w[k] = (w[k] + q @ w[rows]) % n
@@ -511,10 +511,9 @@ def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarr
     mod factors[j] for all j, and w = v^{-1} mod n recovers preimages.
     Everything is computed with entries reduced mod n, which is harmless
     because the lattice contains n*Z^w.  Each pivot is the first smallest
-    nonzero entry of a[k:, k:] in row-major order.  Rows k.. are zero left
-    of column k, so it is the first smallest entry of the first row whose
-    ``least``, its smallest nonzero entry, is smallest; ``least`` is
-    recomputed only for the rows that an operation touched.
+    nonzero entry of a[k:, k:] in row-major order; rows k.. are zero left
+    of column k, so it is found from ``least``, each row's smallest nonzero
+    entry, which is recomputed only for the rows an operation touched.
     """
     a, n = _matrix(mat, n)
     a = a % n
@@ -531,11 +530,13 @@ def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarr
         if least[i] == n:  # the trailing block is zero
             break
         j = int((a[i] == least[i]).argmax())
-        a[[k, i]] = a[[i, k]]
-        least[[k, i]] = least[[i, k]]
-        a[:, [k, j]] = a[:, [j, k]]
-        v[:, [k, j]] = v[:, [j, k]]
-        w[[k, j]] = w[[j, k]]
+        if i != k:
+            a[[k, i]] = a[[i, k]]
+            least[[k, i]] = least[[i, k]]
+        if j != k:
+            a[:, [k, j]] = a[:, [j, k]]
+            v[:, [k, j]] = v[:, [j, k]]
+            w[[k, j]] = w[[j, k]]
         touched = k + np.flatnonzero(a[k:, k])
         _clear(a, k, n)
         if a[k, k + 1 :].any():
