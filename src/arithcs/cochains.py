@@ -259,9 +259,9 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     mod the coordinate's cyclic order.  Scaling and reduction happen in
     place, so building d holds one copy of it.  This is the only cached dense
     copy of d.  ``_factored_differential`` factors it once for
-    ``solve_differential`` and ``cohomology``; ``normalized_representative``
-    and the local invariants eliminate matrices derived from it (a row
-    subset, one extra column).
+    ``solve_differential`` and ``cohomology``, and ``_factored_with_generator``
+    once per local generator with one extra column;
+    ``normalized_representative`` eliminates a row subset of it.
     """
     d = _differential_matrix(coeffs, i)
     d *= _row_scales(coeffs, i + 1)[:, None]
@@ -283,14 +283,29 @@ def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
     return factorize(_scaled_differential(coeffs, i), coeffs.modulus)
 
 
+@functools.lru_cache(maxsize=None)
+def _factored_with_generator(generator: Cochain) -> Factorization:
+    """``factorize`` of the differential into ``generator``'s degree with
+    ``_scaled(generator)`` as one more column, cached per generator.
+
+    Solving it against ``_scaled(x)`` writes x = d(beta) + k * generator.
+    ``local_invariant`` solves against the one of its place's generator, so
+    each place's matrix is eliminated once however many invariants follow.
+    """
+    coeffs = generator.coeffs
+    d = _scaled_differential(coeffs, generator.degree - 1)
+    return factorize(np.hstack([d, _scaled(generator)[:, None]]), coeffs.modulus)
+
+
 def solve_differential(coeffs: GModuleAction, degree: int, target: Cochain) -> Cochain | None:
     """Solve d x = target for x in C^degree; None when no solution exists.
 
     The returned solution is the canonical one under leftmost-pivot solving,
-    a back-substitution against the cached ``_factored_differential``, so
-    only the first solve on a differential (or a ``cohomology`` before it)
-    eliminates d.  Every other solution is x plus a cocycle, a combination of
-    the rows of that factorization's k.  The target must be a cochain on
+    read off the cached ``_factored_differential`` by its ``solve`` (packed
+    XORs over Z/2, a back-substitution otherwise), so only the first solve
+    on a differential (or a ``cohomology`` before it) eliminates d.  Every
+    other solution is x plus a cocycle, a combination of the rows of that
+    factorization's k.  The target must be a cochain on
     ``coeffs`` of degree ``degree + 1``.
     """
     if target.degree != degree + 1:

@@ -33,8 +33,8 @@ from .cochains import (
     pullback,
     solve_differential,
     _factored_differential,
+    _factored_with_generator,
     _scaled,
-    _scaled_differential,
 )
 from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
@@ -191,16 +191,16 @@ def local_invariant(x: Cochain, place: PlaceDatum) -> InvariantValue:
     """Value of a local 2-cocycle class under the place's declared invariant.
 
     Writes [x] = k [h2_generator] by solving d(beta) + k h2_generator = x
-    exactly; k is unique mod n because the declared generator has order n.
-    Returns k * inv_normalization / n.
+    exactly, against the place's cached ``_factored_with_generator``, so
+    only the first call on a place eliminates; k is unique mod n because the
+    declared generator has order n.  Returns k * inv_normalization / n.
     """
     n = place.modulus
     if x.coeffs != place.h2_generator.coeffs or x.degree != 2:
         raise ValueError("expected a degree-2 cochain on the place's local group")
     if not differential(x).is_zero():
         raise ValueError("local invariants are defined on cocycles only")
-    a = np.hstack([_scaled_differential(x.coeffs, 1), _scaled(place.h2_generator)[:, None]])
-    sol = solve_linear(a, _scaled(x), n)
+    sol = _factored_with_generator(place.h2_generator).solve(_scaled(x))
     if sol is None:
         raise NotInGeneratedSummandError(
             "class lies outside the cyclic summand generated by the declared h2_generator"

@@ -14,15 +14,16 @@ nonzero, in int64 (``_howell_rows_int64``); the two give equal results over
 Z/2.  Both return the form h in that dtype, the transform and kernel in int64.
 
 ``factorize(a, n)`` keeps (h, u, k) of ``_howell_rows(a.T, n)`` as a
-``Factorization``, whose ``solve`` answers a @ x == b for one b by
-back-substitution alone; ``solve_linear`` is factorize-then-solve and
+``Factorization``, whose ``solve`` answers a @ x == b for one b without
+eliminating again; ``solve_linear`` is factorize-then-solve and
 ``right_kernel`` is its k, so a caller that keeps the value (the cochain
 layer caches one per differential) factors a matrix once for any number of
-solves.  ``_back_substitute`` reduces vectors against an echelon form, a
-Howell form in ``Factorization.solve`` and a triangular lattice basis in
-``lattice_coordinates``; a zero remainder means membership.  The two-sided
-invariant-factor diagonalization ``diagonalize_mod`` of a lattice containing
-n*Z^w gives ``cohomology`` its invariant factors, generators and
+solves.  Over Z/2 a solve XORs rows of h and u packed into uint64 words;
+over any other modulus it runs ``_back_substitute``, which reduces vectors
+against an echelon form, there a Howell form and in ``lattice_coordinates``
+a triangular lattice basis; a zero remainder means membership.  The
+two-sided invariant-factor diagonalization ``diagonalize_mod`` of a lattice
+containing n*Z^w gives ``cohomology`` its invariant factors, generators and
 coordinates; ``_clear`` clears its pivot columns, and its pivot rows through
 the transposed view.
 
@@ -30,14 +31,16 @@ Matrices are plain 2-D int64 array-likes with any integer entries, and the
 modulus n comes last: ``howell_form(a, n)``, ``solve_linear(a, b, n)``,
 ``diagonalize_mod(a, n)``.  The routines reduce their inputs mod n
 themselves, never modify them and return new int64 arrays.  Integer
-arguments (moduli, cyclic orders) are read by ``_element``, and the integer
-tables of the group layer (multiplication tables, maps, units) by its array
-counterpart ``_elements``; both refuse bools and floats instead of truncating
-them.  All arithmetic is exact; there is no floating point in this package.
+arguments (moduli, cyclic orders) are read by ``_element``, and matrices,
+right-hand sides, lattice vectors and the integer tables of the group layer
+(multiplication tables, maps, units) by its array counterpart ``_elements``;
+both refuse bools and floats instead of truncating them.  All arithmetic is
+exact; there is no floating point in this package.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from math import gcd
@@ -145,9 +148,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _matrix(a, n: int) -> tuple[np.ndarray, int]:
-    """``a`` as a 2-D int64 array and ``n`` checked as a modulus."""
+    """``a`` read by ``_elements`` as a 2-D int64 array, ``n`` checked as a modulus."""
     n = _check_modulus(n)
-    a = np.asarray(a, dtype=np.int64)
+    a = _elements(a, "matrix entry")
     if a.ndim != 2:
         raise ValueError(f"matrix entries must be two-dimensional, got {a.ndim} dimensions")
     return a, n
@@ -358,8 +361,9 @@ def _back_substitute(h: np.ndarray, vecs: np.ndarray, n: int) -> tuple[np.ndarra
     """Reduce the rows of vecs against the echelon rows of h, top to bottom.
 
     Returns (coefficients, remainders) with vecs == coefficients @ h +
-    remainders mod n.  Against a Howell form or a triangular lattice basis,
-    a row of vecs lies in the span exactly when its remainder is zero.
+    remainders mod n.  Against a Howell form (in ``Factorization.solve``
+    for n != 2) or a triangular lattice basis, a row of vecs lies in the
+    span exactly when its remainder is zero.
     """
     res = np.asarray(vecs, dtype=np.int64) % n
     coeffs = np.zeros((res.shape[0], h.shape[0]), dtype=np.int64)
@@ -386,7 +390,10 @@ class Factorization:
 
     h is the Howell form of a's column space in dtype ``_form_dtype(n)``,
     u @ a.T == h, and the rows of k generate the right kernel of a.  The
-    arrays are read-only, so one value can be shared by every caller.
+    arrays are read-only, so one value can be shared by every caller.  Over
+    Z/2 the first ``solve`` also keeps h and u packed into uint64 words
+    (``_packed``), so a factorization that is never solved holds no second
+    copy of them.
     """
 
     h: np.ndarray
@@ -398,17 +405,36 @@ class Factorization:
         for a in (self.h, self.u, self.k):
             _freeze(a)
 
+    @functools.cached_property
+    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pivot columns of h, and h and u as ``_pack`` words (Z/2 only)."""
+        return _leading(self.h), _pack(self.h, self.h.shape[1]), _pack(self.u, self.u.shape[1])
+
     def solve(self, b) -> LinearSolution | None:
         """Solve a @ x == b; None means no solution exists.
 
         The particular solution is the canonical one produced by
         back-reduction against h (leftmost pivot, smallest representative).
         kernel_basis is k, so the solution set is particular + span(kernel).
+        Any modulus other than 2 runs ``_back_substitute``.  Over Z/2, h is
+        reduced row echelon: every pivot is 1 and the only 1 of its column.
+        So the coefficients of that reduction are b's entries at the pivot
+        columns, and the solve XORs the selected rows of the packed h, which
+        must give b, and of the packed u, which gives the solution.
         """
         n = self.modulus
-        b = np.asarray(b, dtype=np.int64).ravel()
+        b = _elements(b, "right-hand side entry").ravel()
         if b.shape[0] != self.h.shape[1]:
             raise ValueError("dimension mismatch between matrix and right-hand side")
+        if n == 2:
+            lead, h_words, u_words = self._packed
+            # & 1 is % 2 for negative entries too; every word operand is uint64
+            bits = b & 1
+            sel = np.flatnonzero(bits[lead])
+            if (np.bitwise_xor.reduce(h_words[sel]) != _pack(bits[None, :], bits.size)[0]).any():
+                return None
+            x = np.bitwise_xor.reduce(u_words[sel])
+            return LinearSolution(particular=_unpack(x[None, :], self.u.shape[1])[0], kernel_basis=self.k)
         coeff, rem = _back_substitute(self.h, b[None, :], n)
         if rem.any():
             return None
@@ -443,7 +469,7 @@ def lattice_basis(rows: np.ndarray | list, width: int, n: int) -> np.ndarray:
     Rows with a Howell pivot supply the basis row for their pivot column;
     pivotless columns fall back to n*e_j.  Pivots divide n.
     """
-    arr = np.asarray(rows, dtype=np.int64).reshape(-1, width) % n
+    arr = _elements(rows, "lattice generator entry").reshape(-1, width) % n
     h, _, _ = _howell_rows(arr, n)
     basis = np.diag(np.full(width, n, dtype=np.int64))
     basis[_leading(h)] = h
@@ -457,8 +483,9 @@ def lattice_coordinates(basis: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarr
     matter mod n downstream.  Raises ValueError if some vector lies outside
     the lattice.
     """
-    width = basis.shape[0]
-    coords, rem = _back_substitute(basis, np.asarray(vecs, dtype=np.int64).reshape(-1, width), n)
+    basis = _elements(basis, "lattice basis entry")
+    vecs = _elements(vecs, "lattice vector entry").reshape(-1, basis.shape[0])
+    coords, rem = _back_substitute(basis, vecs, n)
     if rem.any():
         raise ValueError("vector is not in the lattice")
     return coords

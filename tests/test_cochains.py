@@ -23,7 +23,7 @@ from arithcs.cochains import (
     solve_differential,
 )
 from arithcs.cstheory import _global_trivialization, cs_invariant, section_class
-from arithcs.fixtures import quaternion_datum, quaternion_rho
+from arithcs.fixtures import quaternion_datum, quaternion_rho, toy_global_datum, toy_rho
 from arithcs.groups import (
     GModuleAction,
     cyclic,
@@ -308,8 +308,8 @@ def test_seeded_global_trivializations_reuse_the_factorization(monkeypatch):
     for seed in range(5):
         assert cs_invariant(datum, rho, solver_seed=seed) == invariant
         assert section_class(datum, rho, solver_seed=seed) == section
-    # a seeded cs_invariant eliminates only what an unseeded one does (the
-    # local invariants' small solves) and solves on the global group once
+    # a seeded cs_invariant eliminates only what an unseeded warm one does,
+    # which is nothing (see the next test), and solves on the global group once
     calls.clear()
     cs_invariant(datum, rho)
     unseeded = list(calls)
@@ -325,6 +325,27 @@ def test_seeded_global_trivializations_reuse_the_factorization(monkeypatch):
     cs_invariant(datum, rho, solver_seed=7)
     assert calls == unseeded
     assert solved_on.count(datum.global_group) == 1
+
+
+@pytest.mark.parametrize(
+    "datum, rho",
+    [(quaternion_datum(), quaternion_rho()), (toy_global_datum(), toy_rho())],
+    ids=["quaternion", "toy"],
+)
+def test_warm_invariants_eliminate_nothing(monkeypatch, datum, rho):
+    # the local invariants solve against one cached factorization per place
+    invariant = cs_invariant(datum, rho)
+    calls = []
+    real = zmod._howell_rows
+
+    def spy(mat, n):
+        calls.append(mat.shape)
+        return real(mat, n)
+
+    monkeypatch.setattr(zmod, "_howell_rows", spy)
+    assert cs_invariant(datum, rho) == invariant
+    assert cs_invariant(datum, rho, solver_seed=3) == invariant
+    assert calls == []
 
 
 def test_solve_differential_refuses_targets_on_other_coefficients():

@@ -14,6 +14,7 @@ from arithcs.zmod import (
     _xgcd,
     annihilator,
     diagonalize_mod,
+    factorize,
     howell_form,
     lattice_basis,
     lattice_coordinates,
@@ -96,6 +97,33 @@ def test_integer_arguments_are_read_strictly():
     m = ModuleOverZn(np.int64(4), (np.uint8(2),))
     assert m == ModuleOverZn(4, (2,)) and type(m.modulus) is int and type(m.orders[0]) is int
     assert howell_form([[1, 1]], np.int64(2))[0].tolist() == [[1, 1]]
+
+
+def test_matrix_entries_are_read_strictly():
+    # a float or bool entry is refused, not truncated into another system
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="matrix entry 1.9 is not an integer"):
+            solve_linear([[1.9]], [1], n)
+        with pytest.raises(ValueError, match="right-hand side entry 1.2 is not an integer"):
+            solve_linear([[1]], [1.2], n)
+        with pytest.raises(ValueError, match="right-hand side entry dtype float64"):
+            factorize(np.eye(2, dtype=np.int64), n).solve(np.array([1.5, 0.0]))
+    with pytest.raises(ValueError, match="matrix entry True is a bool"):
+        howell_form([[True, 2.7]], 5)
+    with pytest.raises(ValueError, match="matrix entry dtype bool"):
+        left_kernel(np.eye(2, dtype=bool), 2)
+    with pytest.raises(ValueError, match="matrix entry dtype float64"):
+        diagonalize_mod(np.eye(2) * 2.5, 4)
+    with pytest.raises(ValueError, match="lattice generator entry 0.5 is not an integer"):
+        lattice_basis([[0.5, 1]], 2, 4)
+    basis = lattice_basis([[2, 1]], 2, 4)
+    with pytest.raises(ValueError, match="lattice vector entry 2.0 is not an integer"):
+        lattice_coordinates(basis, [[2.0, 1]], 4)
+    with pytest.raises(ValueError, match="lattice basis entry dtype float64"):
+        lattice_coordinates(basis.astype(float), [[2, 1]], 4)
+    # integer arrays of any integer dtype are read as before
+    assert solve_linear(np.eye(2, dtype=np.uint8), np.array([1, 3], dtype=np.int16), 5).particular.tolist() == [1, 3]
+    assert lattice_coordinates(basis, np.array([[2, 1]], dtype=np.uint16), 4).tolist() == [[1, 0]]
 
 
 @pytest.mark.parametrize("a,n", [(0, 6), (2, 4), (3, 6), (4, 6), (10, 12), (8, 12)])
@@ -501,3 +529,93 @@ def test_lattice_basis_and_coordinates(n):
             except ValueError:
                 member = False
             assert member == (x in span)
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of ``Factorization.solve`` by back-substitution against h,
+# the path every modulus took before Z/2 solves read packed words.  Over Z/2
+# the packed solve must give the same None-ness and the same particular
+# bytes.
+
+
+def reference_back_substitute(h: np.ndarray, vecs: np.ndarray, n: int):
+    res = np.asarray(vecs, dtype=np.int64) % n
+    coeffs = np.zeros((res.shape[0], h.shape[0]), dtype=np.int64)
+    lead = (h != 0).argmax(axis=1) if h.size else np.zeros(0, dtype=np.intp)
+    for i, j in enumerate(lead):
+        q = res[:, j] // h[i, j]
+        coeffs[:, i] = q
+        nz = np.flatnonzero(q)
+        if nz.size:
+            res[nz] = (res[nz] - q[nz, None] * h[i][None, :]) % n
+    return coeffs, res
+
+
+def reference_solve(f, b):
+    n = f.modulus
+    b = np.asarray(b, dtype=np.int64).ravel()
+    coeff, rem = reference_back_substitute(f.h, b[None, :], n)
+    if rem.any():
+        return None
+    return coeff[0] @ f.u % n
+
+
+def assert_same_solution(f, b):
+    got, want = f.solve(b), reference_solve(f, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.particular.dtype == want.dtype and got.particular.shape == want.shape
+        assert got.particular.tobytes() == want.tobytes()
+        assert got.kernel_basis is f.k
+    return got
+
+
+# around the 64-bit word edges, and empty, so that ranks 0 occur
+WORD_EDGE_SIZES = [0, 1, 63, 64, 65, 130]
+
+
+@given(
+    rows=st.sampled_from(WORD_EDGE_SIZES),
+    cols=st.sampled_from(WORD_EDGE_SIZES),
+    rank=st.sampled_from([None, 0, 1, 5, 70]),
+    density=st.sampled_from([0.02, 0.1, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_packed_gf2_solve_equals_back_substitution(rows, cols, rank, density, seed):
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        a = rng.integers(-3, 4, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    else:
+        # a low-rank product, so that random targets are mostly unsolvable
+        right = rng.integers(0, 2, size=(rank, cols)) * (rng.random((rank, cols)) < density)
+        a = rng.integers(0, 2, size=(rows, rank)) @ right
+    f = factorize(a, 2)
+    # u holds one column per unknown, so cols >= 65 makes it wider than one word
+    assert f.u.shape[1] == cols
+    image = a @ rng.integers(0, 2, size=cols)
+    for b in (image, rng.integers(0, 2, size=rows), np.zeros(rows, dtype=np.int64)):
+        assert_same_solution(f, b)
+        # entries >= 2 and negative ones are read mod 2
+        assert_same_solution(f, b + 2 * rng.integers(-4, 5, size=rows))
+        assert_same_solution(f, -b)
+    if rows and rank is not None and rank < rows:
+        assert any(f.solve(rng.integers(0, 2, size=rows)) is None for _ in range(20))
+
+
+def test_packed_gf2_solve_on_the_q8_times_z3_differential():
+    from arithcs.cochains import Cochain, _differential_matrix, differential
+    from arithcs.groups import GModuleAction, cyclic, direct_product, quaternion8
+
+    coeffs = GModuleAction.trivial(direct_product(quaternion8(), cyclic(3)), ModuleOverZn.cyclic(2))
+    # uncached: over a trivial Z/2 module d is its own scaled matrix
+    d = _differential_matrix(coeffs, 2)
+    f = factorize(d, 2)
+    assert f.h.shape == (552, 13824)
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        target = differential(Cochain.random(coeffs, 2, rng)).values.ravel()
+        sol = assert_same_solution(f, target)
+        assert sol is not None and np.array_equal(d @ sol.particular % 2, target)
+    for _ in range(10):
+        assert assert_same_solution(f, Cochain.random(coeffs, 3, rng).values.ravel()) is None
