@@ -5,7 +5,8 @@ outputs are canonical serialized documents or fixed-format text, so repeated
 runs with identical inputs are byte-identical.
 
 Exit codes: 0 success, 2 validation failure, 3 computation error (any
-``ComputationError``), 4 parse error or unreadable file.
+``ComputationError``, or running out of memory), 4 parse error or unreadable
+file.  Every failure prints one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ComputationError as exc:
         print(f"error: {type(exc).__name__.removesuffix('Error')}: {exc}", file=sys.stderr)
+        return EXIT_COMPUTATION
+    except MemoryError as exc:  # numpy's message says how much it asked for
+        print(f"error: Memory: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_COMPUTATION
     except OSError as exc:
         print(f"error: {type(exc).__name__.removesuffix('Error')}: {exc}", file=sys.stderr)

@@ -218,7 +218,7 @@ def pullback(rho: GroupHom, f: Cochain) -> Cochain:
 def _differential_matrix(coeffs: GModuleAction, i: int) -> np.ndarray:
     """Matrix of d: C^i -> C^{i+1} on flattened coordinates, entries in [0, n).
 
-    Uncached: ``_scaled_differential`` keeps the one cached copy.
+    Uncached, like ``_scaled_differential``: only factorizations of d are kept.
     """
     m = coeffs.group.order
     r = coeffs.module.rank
@@ -249,36 +249,33 @@ def _scaled(f: Cochain) -> np.ndarray:
     return (f.values.reshape(-1) * _row_scales(f.coeffs, f.degree)) % f.coeffs.modulus
 
 
-@functools.lru_cache(maxsize=None)
+# maxsize=0 caches nothing; it keeps cache_info(), whose misses perfbench's tracer counts as dense builds
+@functools.lru_cache(maxsize=0)
 def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     """d as a Z/n matrix whose kernel/image encode the mixed-order module exactly.
 
-    A read-only int64 array with entries in [0, n), to be passed to the
-    ``zmod`` routines together with n = ``coeffs.modulus``.  Row s is
-    multiplied by n / order(s), so congruence mod n in each row is congruence
-    mod the coordinate's cyclic order.  Scaling and reduction happen in
-    place, so building d holds one copy of it.  This is the only cached dense
-    copy of d.  ``_factored_differential`` factors it once for
-    ``solve_differential`` and ``cohomology``, and ``_factored_with_generator``
-    once per local generator with one extra column;
-    ``normalized_representative`` eliminates a row subset of it.
+    An int64 array with entries in [0, n), to be passed to the ``zmod``
+    routines together with n = ``coeffs.modulus``.  Row s is multiplied by
+    n / order(s), so congruence mod n in each row is congruence mod the
+    coordinate's cyclic order.  Scaling and reduction happen in place, so
+    building d holds one copy of it, which only the caller keeps.
     """
     d = _differential_matrix(coeffs, i)
     d *= _row_scales(coeffs, i + 1)[:, None]
     d %= coeffs.modulus
-    return _freeze(d)
+    return d
 
 
 @functools.lru_cache(maxsize=None)
 def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
     """``factorize`` of ``_scaled_differential(coeffs, i)``, cached.
 
+    The one cached form of d, whose dense matrix is dropped once factored.
     Its k is the right kernel that ``cohomology`` reads and that seeded global
     trivializations sample from, and its ``solve`` serves every
-    ``solve_differential``, so each d is eliminated once however many targets
-    are solved against it.  Its h, with one row per pivot and one column per
-    coordinate of C^(i+1), is stored in the narrow dtype of
-    ``zmod._form_dtype``.
+    ``solve_differential``, so each d is built and eliminated once however
+    many targets are solved against it.  Its h, with one row per pivot and
+    one column per coordinate of C^(i+1), is in ``zmod._form_dtype``.
     """
     return factorize(_scaled_differential(coeffs, i), coeffs.modulus)
 
@@ -290,11 +287,12 @@ def _factored_with_generator(generator: Cochain) -> Factorization:
 
     Solving it against ``_scaled(x)`` writes x = d(beta) + k * generator.
     ``local_invariant`` solves against the one of its place's generator, so
-    each place's matrix is eliminated once however many invariants follow.
+    each place's matrix is built and eliminated once however many invariants
+    follow; the dense d is freed before the elimination.
     """
     coeffs = generator.coeffs
-    d = _scaled_differential(coeffs, generator.degree - 1)
-    return factorize(np.hstack([d, _scaled(generator)[:, None]]), coeffs.modulus)
+    d = np.hstack([_scaled_differential(coeffs, generator.degree - 1), _scaled(generator)[:, None]])
+    return factorize(d, coeffs.modulus)
 
 
 def solve_differential(coeffs: GModuleAction, degree: int, target: Cochain) -> Cochain | None:
@@ -420,22 +418,22 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     m = coeffs.group.order
     r = coeffs.module.rank
     width = m**degree * r
-    orders = np.array([coeffs.module.orders[t % r] for t in range(width)], dtype=np.int64)
+    orders = n // _row_scales(coeffs, degree)
 
     # Z-basis of the cocycle lattice (the lattice contains n*Z^width, which
     # keeps all entries reduced mod n throughout)
     kernel = _factored_differential(coeffs, degree).k
     basis = lattice_basis(kernel, width, n)
 
-    # coboundary lattice generators in basis coordinates: columns of the
-    # previous differential plus the coordinate relations m_t e_t; the
-    # n*Z^width part contributes through the mod-n kernel of the basis
-    # (coefficient vectors c with c @ basis == 0 mod n)
-    if degree > 0:
-        dmat = _differential_matrix(coeffs, degree - 1)
-        b_rows = np.vstack([dmat.T % n, np.diag(orders) % n])
-    else:
-        b_rows = np.diag(orders) % n
+    # coboundary lattice generators in basis coordinates: the columns of d^(k-1)
+    # (none in degree 0), built uncached, plus o_t e_t where o_t < n (the rest
+    # are zero mod n); n*Z^width contributes through the mod-n kernel of the
+    # basis (coefficient vectors c with c @ basis == 0 mod n)
+    short = np.flatnonzero(orders < n)
+    b_rows = np.vstack([
+        _differential_matrix(coeffs, degree - 1).T if degree else np.zeros((0, width), dtype=np.int64),
+        orders[short, None] * (short[:, None] == np.arange(width)),
+    ])
     nker = left_kernel(basis, n).reshape(-1, width)
     cmat = np.vstack([lattice_coordinates(basis, b_rows, n), nker])
     diag, v, w = diagonalize_mod(cmat, n)

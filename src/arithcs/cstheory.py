@@ -38,7 +38,7 @@ from .cochains import (
 )
 from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
-from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, _element, solve_linear
+from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, _check_modulus, _element, solve_linear
 
 
 class NotInGeneratedSummandError(ComputationError):
@@ -70,7 +70,7 @@ class InvariantValue:
     modulus: int
 
     def __post_init__(self):
-        numerator, modulus = _element(self.numerator, "numerator"), _element(self.modulus, "modulus")
+        numerator, modulus = _element(self.numerator, "numerator"), _check_modulus(self.modulus)
         object.__setattr__(self, "numerator", numerator % modulus)
         object.__setattr__(self, "modulus", modulus)
 
@@ -115,6 +115,7 @@ class PlaceDatum:
 
     def __post_init__(self):
         object.__setattr__(self, "inertia", tuple(sorted({_element(x, "inertia element") for x in self.inertia})))
+        object.__setattr__(self, "inv_normalization", _element(self.inv_normalization, "inv_normalization"))
         if self.embedding.dom != self.local_group:
             raise ValueError("embedding must start at the local group")
         if self.h2_generator.group != self.local_group or self.h2_generator.degree != 2:
@@ -142,6 +143,7 @@ class GlobalDatum:
     three_cocycle: Cochain
 
     def __post_init__(self):
+        object.__setattr__(self, "modulus", _element(self.modulus, "modulus"))
         object.__setattr__(self, "places", tuple(self.places))
         if self.three_cocycle.group != self.gauge_group or self.three_cocycle.degree != 3:
             raise ValueError("three_cocycle must be a degree-3 cochain on the gauge group")

@@ -293,11 +293,11 @@ def _howell_rows_gf2(mat: np.ndarray):
     Every pivot over GF(2) is 1, so the int64 engine's gcd step, unit
     scaling and annihilator rows never fire: each pivot column is one row
     swap plus XORs of the pivot row into every other row with a 1 there, the
-    same operations in the same order (the M4RI scheme of Albrecht, Bard and
-    Hart, ACM TOMS 37(1), 2010).  The matrix block and the transform block
-    are packed apart, so the [mat | I] rows are never built.  The pivot row
-    is zero left of its pivot, so its XOR into the matrix block starts at
-    the pivot's word.
+    same operations in the same order.  Columns are cleared one pivot at a
+    time on packed words; no Four-Russians tables are built.  The matrix
+    block and the transform block are packed apart, so the [mat | I] rows
+    are never built.  The pivot row is zero left of its pivot, so its XOR
+    into the matrix block starts at the pivot's word.
     """
     nrows, ncols = mat.shape
     a = _pack(mat, ncols)

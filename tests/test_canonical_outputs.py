@@ -193,6 +193,11 @@ def cohomology_cases():
             3,
         ),
         "H3(S3;Z/2+Z/4)": (GModuleAction.trivial(s3, ModuleOverZn(4, (2, 4))), 3),
+        "H0(Z/4;Z/4)": (GModuleAction.trivial(cyclic(4), ModuleOverZn.cyclic(4)), 0),
+        **{
+            f"H{degree}(S3;Z/2+Z/4)": (GModuleAction.trivial(s3, ModuleOverZn(4, (2, 4))), degree)
+            for degree in (0, 1, 2)
+        },
     }
 
 
@@ -202,6 +207,10 @@ COHOMOLOGY = {
     "H3(Z/6;Z/6)": "77e921166ffa8455d9a7541f08ce476e607225299e6adfde9ef9e46362405425",
     "H3(Z/6;Z/4 twisted)": "ac6cce54de1d174cd6256ed99fc1434abed97fa4ce2766e26450864b8a4fa611",
     "H3(S3;Z/2+Z/4)": "d1ac3904c931d3a47398a727f6c5cafb56b9ace4c58b243c385d4de506c56f76",
+    "H0(Z/4;Z/4)": "c537dfbda32d7534fd072cc813cde99c95ff6fbbe829719d9d053d055e2a2c9f",
+    "H0(S3;Z/2+Z/4)": "84080453c04bb01a02527f4cea492055e99b8f46b2034477914a45794b054a95",
+    "H1(S3;Z/2+Z/4)": "2742011e46546fe89b036220a4ce76e26f2afb53687c59614a90087154f7387d",
+    "H2(S3;Z/2+Z/4)": "444408cc925da12100b21242468828df3da7de4a11a094b167d80eac2f8549c3",
 }
 
 
@@ -212,12 +221,16 @@ def test_cohomology_generators_and_coordinates(name):
     d = Digest().add(h.invariant_factors)
     for g in h.generators:
         d.add(g.values)
-    # coordinates of random combinations of the generators plus a coboundary
+    # coordinates of random combinations of the generators plus a coboundary,
+    # which in degree 0 is zero
     rng = np.random.default_rng(4000)
     n = coeffs.modulus
-    shape = (coeffs.group.order ** (degree - 1), coeffs.module.rank)
     for _ in range(3):
-        f = differential(Cochain(coeffs, degree - 1, rng.integers(0, n, size=shape)))
+        if degree == 0:
+            f = Cochain.zero(coeffs, 0)
+        else:
+            shape = (coeffs.group.order ** (degree - 1), coeffs.module.rank)
+            f = differential(Cochain(coeffs, degree - 1, rng.integers(0, n, size=shape)))
         for g in h.generators:
             f = f + int(rng.integers(0, n)) * g
         d.add(h.coordinates(f))

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from arithcs import cli, dataio
+from arithcs import cli, cochains, dataio
 from arithcs.cli import main
 from arithcs.cochains import Cochain, DegreeBoundError, pullback
 from arithcs.cstheory import (
@@ -200,6 +200,20 @@ def test_every_computation_error_exits_3(capsys, monkeypatch, error):
     assert code == 3
     assert out == ""
     assert err == f"error: {error.__name__.removesuffix('Error')}: no answer\n"
+
+
+def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):
+    # the dense builds are replaced, so nothing is really allocated
+    def fail(coeffs, i):
+        raise MemoryError("Unable to allocate 4.27 TiB for an array")
+
+    cochains.cohomology.cache_clear()
+    cochains._factored_differential.cache_clear()
+    monkeypatch.setattr(cochains, "_differential_matrix", fail)
+    code, out, err = run(capsys, "cohomology", "--group", FIX / "z2_group.json", "--modulus", 2, "--degree", 3)
+    assert code == 3
+    assert out == ""
+    assert err == "error: Memory: Unable to allocate 4.27 TiB for an array\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

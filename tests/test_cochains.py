@@ -1,10 +1,11 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithcs import cstheory, dataio, zmod
+from arithcs import cochains, cstheory, dataio, zmod
 from arithcs.cochains import (
     Cochain,
     Coboundary,
@@ -412,6 +413,26 @@ def test_cohomology_and_solves_factor_each_differential_once(monkeypatch):
         target = differential(Cochain.random(coeffs, 2, rng))
         assert differential(solve_differential(coeffs, 2, target)) == target
     assert shapes.count(d2.T.shape) == 1
+
+
+def test_factored_differential_keeps_no_dense_copy(monkeypatch):
+    coeffs = triv(Z4, 2)
+    _factored_differential.cache_clear()
+    _scaled_differential.cache_clear()
+    built = []
+    build = cochains._differential_matrix
+
+    def recording(*args):
+        d = build(*args)
+        built.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(cochains, "_differential_matrix", recording)
+    k = _factored_differential(coeffs, 2).k
+    assert len(built) == 1 and built[0]() is None
+    assert _scaled_differential.cache_info().currsize == 0
+    # the factorization is what stays cached
+    assert _factored_differential(coeffs, 2).k is k and len(built) == 1
 
 
 def test_normalized_representative():

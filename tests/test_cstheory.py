@@ -79,6 +79,9 @@ def test_invariant_value_reads_integers_strictly():
     for numerator, modulus in [(1.5, 2), (True, 2), (1, 2.0), (1, True), ("1", 2)]:
         with pytest.raises(ValueError, match="not an integer"):
             InvariantValue(numerator, modulus)
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be in"):
+            InvariantValue(1, modulus)
 
 
 def test_place_inertia_is_read_strictly():
@@ -89,6 +92,23 @@ def test_place_inertia_is_read_strictly():
     for inertia in ((0, 1.9), (0, 1.0), (0, True)):
         with pytest.raises(ValueError, match="inertia element"):
             PlaceDatum(inertia=inertia, **fields)
+
+
+def test_datum_fields_are_read_strictly():
+    datum = quaternion_datum()
+    place = datum.places[0]
+    fields = dict(local_group=place.local_group, embedding=place.embedding, inertia=place.inertia,
+                  h2_generator=place.h2_generator)
+    assert type(PlaceDatum(inv_normalization=np.int64(1), **fields).inv_normalization) is int
+    for value in (True, 1.0):
+        with pytest.raises(ValueError, match="inv_normalization .* not an integer"):
+            PlaceDatum(inv_normalization=value, **fields)
+    fields = dict(global_group=datum.global_group, places=datum.places, gauge_group=datum.gauge_group,
+                  three_cocycle=datum.three_cocycle)
+    assert type(GlobalDatum(modulus=np.int64(2), **fields).modulus) is int
+    for value in (2.0, True):
+        with pytest.raises(ValueError, match="modulus .* not an integer"):
+            GlobalDatum(modulus=value, **fields)
 
 
 def _generates_summand_by_search(factors, coords, n):
