@@ -25,12 +25,12 @@ from .groups import FiniteGroup, GModuleAction, GroupHom
 from .zmod import (
     ComputationError,
     Factorization,
+    _back_substitute,
     _element,
     _freeze,
     diagonalize_mod,
     factorize,
-    lattice_basis,
-    lattice_coordinates,
+    howell_form,
     left_kernel,
     solve_linear,
 )
@@ -59,16 +59,19 @@ def _encode(parts, m: int, count: int) -> np.ndarray:
     return idx
 
 
-def _faces(group: FiniteGroup, i: int):
+def _faces(group: FiniteGroup, i: int, rows: np.ndarray | None = None):
     """Yield (sign, index) for each of the i+2 faces of d: C^i -> C^{i+1}.
 
     ``index[t]`` is the flat C^i index that the face reads for the (i+1)-tuple
-    t.  Face 0 comes first, and its values must still be acted on by the first
+    t, or for the t-th of the flat (i+1)-tuple indices ``rows`` when given.
+    Face 0 comes first, and its values must still be acted on by the first
     digit of t.  Each index is built only when the next face is requested.
     """
     m = group.order
-    count = m ** (i + 1)
     digits = _digits(m, i + 1)
+    if rows is not None:
+        digits = tuple(d[rows] for d in digits)
+    count = digits[0].size
     yield 1, _encode(digits[1:], m, count)
     for k in range(1, i + 1):
         parts = itertools.chain(digits[: k - 1], [group.mul[digits[k - 1], digits[k]]], digits[k + 1 :])
@@ -215,22 +218,25 @@ def pullback(rho: GroupHom, f: Cochain) -> Cochain:
 # The differential as an explicit matrix, and solving d x = target.
 
 
-def _differential_matrix(coeffs: GModuleAction, i: int) -> np.ndarray:
+def _differential_matrix(coeffs: GModuleAction, i: int, rows: np.ndarray | None = None) -> np.ndarray:
     """Matrix of d: C^i -> C^{i+1} on flattened coordinates, entries in [0, n).
 
-    Uncached, like ``_scaled_differential``: only factorizations of d are kept.
+    With ``rows``, an array of flat (i+1)-tuple indices, only those tuples'
+    rows are built, in that order.  Uncached, like ``_scaled_differential``:
+    only factorizations of d are kept.
     """
     m = coeffs.group.order
     r = coeffs.module.rank
-    count = m ** (i + 1)
+    tuples = np.arange(m ** (i + 1), dtype=np.int64) if rows is None else rows
+    count = tuples.size
     out = np.zeros((count, r, m**i, r), dtype=np.int64)
-    rows = np.arange(count, dtype=np.int64)
-    faces = _faces(coeffs.group, i)
-    out[rows, :, next(faces)[1], :] = coeffs.matrices[_digits(m, i + 1)[0]]
+    block = np.arange(count)
+    faces = _faces(coeffs.group, i, rows)
+    out[block, :, next(faces)[1], :] = coeffs.matrices[tuples // m**i]
     eye = np.eye(r, dtype=np.int64)
     # within one face each row has one column block, so += never collides
     for sign, idx in faces:
-        out[rows, :, idx, :] += sign * eye
+        out[block, :, idx, :] += sign * eye
         del idx
     out %= coeffs.modulus
     return out.reshape(count * r, m**i * r)
@@ -365,18 +371,18 @@ def classify(f: Cochain) -> Classification:
 class CohomologyGroup:
     """H^i(G, M) with invariant factors, generating cocycles, and coordinates.
 
-    Coordinates are computed through a fixed triangular basis of the cocycle
-    lattice followed by the columns of the transform that diagonalizes the
-    coboundary relations mod n, one per invariant factor, so they are zero
-    exactly on coboundaries and the published generators map to the
-    standard basis vectors.
+    The coordinates of a cocycle are its coefficients over ``basis``, the
+    Howell rows of Z^i, by back-substitution, followed by the columns of the
+    transform that diagonalizes the coboundary relations mod n, one per
+    invariant factor, so they are zero exactly on coboundaries and the
+    published generators map to the standard basis vectors.
     """
 
     coeffs: GModuleAction = field(repr=False)
     degree: int
     invariant_factors: tuple[int, ...]
     generators: tuple[Cochain, ...] = field(repr=False)
-    basis: np.ndarray = field(repr=False)  # triangular basis of the cocycle lattice
+    basis: np.ndarray = field(repr=False)  # hZ, the Howell form of the cocycles Z^i
     transform: np.ndarray = field(repr=False)  # columns of diagonalize_mod's v, one per factor
 
     def is_trivial(self) -> bool:
@@ -387,11 +393,10 @@ class CohomologyGroup:
         if f.coeffs != self.coeffs or f.degree != self.degree:
             raise ValueError("cochain does not live in this cohomology group")
         n = self.coeffs.modulus
-        try:
-            c = lattice_coordinates(self.basis, f.values.reshape(1, -1), n)[0]
-        except ValueError:
-            raise ValueError("not a cocycle") from None
-        moved = (c @ self.transform) % n
+        c, rem = _back_substitute(self.basis, f.values.reshape(1, -1), n)
+        if rem.any():
+            raise ValueError("not a cocycle")
+        moved = (c[0] @ self.transform) % n
         return tuple(int(x) % d for x, d in zip(moved, self.invariant_factors))
 
 
@@ -399,15 +404,18 @@ class CohomologyGroup:
 def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     """Compute H^degree(G, M) = ker d / im d by canonical forms.
 
-    Kernel generators are the k of the cached ``_factored_differential``
-    (the Howell-form right kernel of d over Z/n), so a later
-    ``solve_differential`` on the same d reuses this elimination; and
-    ``lattice_basis`` turns them into a triangular basis of the cocycle
-    lattice.  ``diagonalize_mod`` of the coboundary relations written in that
-    basis gives the invariant factors, the column transform behind
+    The cocycles Z^i are the row space of the k of the cached
+    ``_factored_differential`` (the right kernel of d over Z/n), so a later
+    ``solve_differential`` on the same d reuses this elimination.  H is
+    presented on the z rows of their Howell form hZ: (Z/n)^z maps onto Z^i
+    by c -> c @ hZ, with kernel the left kernel of hZ, and the coboundaries
+    pull back to their hZ-coordinates, which back-substitution finds exactly
+    (the Howell property).  ``diagonalize_mod`` of these z-wide relations
+    gives the invariant factors, the column transform behind
     ``coordinates``, and the inverse transform that yields the generators.
-    The cache is typed, so a bool or float degree, equal to an int as a key,
-    misses it and is refused.
+    Every input is a Howell form or is read off one, so the result depends
+    on row spaces alone.  The cache is typed, so a bool or float degree,
+    equal to an int as a key, misses it and is refused.
     """
     degree = _element(degree, "degree")
     if degree < 0:
@@ -420,24 +428,20 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     width = m**degree * r
     orders = n // _row_scales(coeffs, degree)
 
-    # Z-basis of the cocycle lattice (the lattice contains n*Z^width, which
-    # keeps all entries reduced mod n throughout)
-    kernel = _factored_differential(coeffs, degree).k
-    basis = lattice_basis(kernel, width, n)
+    basis = howell_form(_factored_differential(coeffs, degree).k, n)[0]
 
-    # coboundary lattice generators in basis coordinates: the columns of d^(k-1)
-    # (none in degree 0), built uncached, plus o_t e_t where o_t < n (the rest
-    # are zero mod n); n*Z^width contributes through the mod-n kernel of the
-    # basis (coefficient vectors c with c @ basis == 0 mod n)
+    # coboundaries: the columns of d^(k-1) (none in degree 0), built uncached,
+    # plus o_t e_t where o_t < n (the rest are zero mod n), in hZ-coordinates
     short = np.flatnonzero(orders < n)
     b_rows = np.vstack([
         _differential_matrix(coeffs, degree - 1).T if degree else np.zeros((0, width), dtype=np.int64),
         orders[short, None] * (short[:, None] == np.arange(width)),
     ])
-    nker = left_kernel(basis, n).reshape(-1, width)
-    cmat = np.vstack([lattice_coordinates(basis, b_rows, n), nker])
-    diag, v, w = diagonalize_mod(cmat, n)
-    kept = [j for j in range(width) if diag[j] > 1]
+    coords, rem = _back_substitute(basis, b_rows, n)
+    if rem.any():
+        raise ValueError("a coboundary is not in the span of the cocycles")
+    diag, v, w = diagonalize_mod(np.vstack([coords, howell_form(left_kernel(basis, n), n)[0]]), n)
+    kept = [j for j, d in enumerate(diag) if d > 1]
     invariant_factors = tuple(diag[j] for j in kept)
 
     generators = tuple(Cochain(coeffs, degree, vec.reshape(m**degree, r)) for vec in (w[kept] @ basis) % n)
@@ -455,15 +459,13 @@ def normalized_representative(f: Cochain) -> Cochain:
     i = f.degree
     if i == 0:
         return f
-    m = f.group.order
     r = f.module.rank
-    degenerate = [
-        idx for idx in range(m**i) if 0 in decode_index(idx, m, i)
-    ]
-    a = _scaled_differential(f.coeffs, i - 1)
-    sel = np.array([t for idx in degenerate for t in range(idx * r, idx * r + r)], dtype=np.int64)
-    b = _scaled(f)
-    sol = solve_linear(a[sel], b[sel], f.coeffs.modulus)
+    # only the rows of d^(i-1) at the i-tuples with the identity in some position
+    degenerate = np.flatnonzero((np.stack(_digits(f.group.order, i)) == 0).any(axis=0))
+    sel = (degenerate[:, None] * r + np.arange(r)).ravel()
+    a = _differential_matrix(f.coeffs, i - 1, degenerate)
+    a *= _row_scales(f.coeffs, i)[sel, None]
+    sol = solve_linear(a, _scaled(f)[sel], f.coeffs.modulus)
     if sol is None:
         raise ValueError("no normalized representative in the coboundary class")
     return f - differential(Cochain(f.coeffs, i - 1, sol.particular))

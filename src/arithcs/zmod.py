@@ -3,10 +3,10 @@
 Everything downstream (cocycle membership, trivialization solving, cohomology
 group structure) reduces to the elimination steps implemented here, each
 written once.  ``_howell_rows`` computes the row Howell form with its
-transform and left kernel; it serves ``howell_form``, ``left_kernel``,
-``factorize`` and ``lattice_basis``.  Howell form is the unique canonical
-row form for Z/n-row spaces (Z/n is not a field), so it is used wherever
-membership in a row space has to be decided.  For n == 2 it eliminates on
+transform and left kernel; it serves ``howell_form``, ``left_kernel`` and
+``factorize``.  Howell form is the unique canonical row form for Z/n-row
+spaces (Z/n is not a field), so it is used wherever membership in a row
+space has to be decided.  For n == 2 it eliminates on
 bit-packed rows (``_howell_rows_gf2``), for any other n on rows stored in
 the narrowest unsigned dtype that holds n - 1 (uint8 up to n = 256, uint16
 up to ``MAX_MODULUS``), updating only the columns where the pivot row is
@@ -20,20 +20,20 @@ eliminating again; ``solve_linear`` is factorize-then-solve and
 layer caches one per differential) factors a matrix once for any number of
 solves.  Over Z/2 a solve XORs rows of h and u packed into uint64 words;
 over any other modulus it runs ``_back_substitute``, which reduces vectors
-against an echelon form, there a Howell form and in ``lattice_coordinates``
-a triangular lattice basis; a zero remainder means membership.  The
-two-sided invariant-factor diagonalization ``diagonalize_mod`` of a lattice
-containing n*Z^w gives ``cohomology`` its invariant factors, generators and
-coordinates; ``_clear`` clears its pivot columns, and its pivot rows through
-the transposed view.
+against a Howell form; a zero remainder means membership.  ``cohomology``
+also reads coordinates over the Howell rows of the cocycles with it.  The
+two-sided invariant-factor diagonalization ``diagonalize_mod`` of a
+quotient (Z/n)^w / rowspan gives ``cohomology`` its invariant factors,
+generators and coordinates; ``_clear`` clears its pivot columns, and its
+pivot rows through the transposed view.
 
 Matrices are plain 2-D int64 array-likes with any integer entries, and the
 modulus n comes last: ``howell_form(a, n)``, ``solve_linear(a, b, n)``,
 ``diagonalize_mod(a, n)``.  The routines reduce their inputs mod n
 themselves, never modify them and return new int64 arrays.  Integer
 arguments (moduli, cyclic orders) are read by ``_element``, and matrices,
-right-hand sides, lattice vectors and the integer tables of the group layer
-(multiplication tables, maps, units) by its array counterpart ``_elements``;
+right-hand sides and the integer tables of the group layer (multiplication
+tables, maps, units) by its array counterpart ``_elements``;
 both refuse bools and floats instead of truncating them.  All arithmetic is
 exact; there is no floating point in this package.
 """
@@ -361,9 +361,10 @@ def _back_substitute(h: np.ndarray, vecs: np.ndarray, n: int) -> tuple[np.ndarra
     """Reduce the rows of vecs against the echelon rows of h, top to bottom.
 
     Returns (coefficients, remainders) with vecs == coefficients @ h +
-    remainders mod n.  Against a Howell form (in ``Factorization.solve``
-    for n != 2) or a triangular lattice basis, a row of vecs lies in the
-    span exactly when its remainder is zero.
+    remainders mod n.  h is a Howell form (that of a's column space in
+    ``Factorization.solve`` for n != 2, that of the cocycles in
+    ``cohomology``), so a row of vecs lies in the span exactly when its
+    remainder is zero.
     """
     res = np.asarray(vecs, dtype=np.int64) % n
     coeffs = np.zeros((res.shape[0], h.shape[0]), dtype=np.int64)
@@ -456,41 +457,6 @@ def solve_linear(a, b, n: int) -> LinearSolution | None:
     return factorize(a, n).solve(b)
 
 
-# ---------------------------------------------------------------------------
-# Lattices that contain n*Z^w.  For these, every generator entry can be
-# reduced mod n at any time (adding multiples of the n*e_j generators), so
-# basis extraction, membership coordinates, and invariant-factor
-# diagonalization all run vectorized with entries in [0, n).
-
-
-def lattice_basis(rows: np.ndarray | list, width: int, n: int) -> np.ndarray:
-    """Triangular Z-basis of span(rows) + n*Z^width, entries in [0, n].
-
-    Rows with a Howell pivot supply the basis row for their pivot column;
-    pivotless columns fall back to n*e_j.  Pivots divide n.
-    """
-    arr = _elements(rows, "lattice generator entry").reshape(-1, width) % n
-    h, _, _ = _howell_rows(arr, n)
-    basis = np.diag(np.full(width, n, dtype=np.int64))
-    basis[_leading(h)] = h
-    return basis
-
-
-def lattice_coordinates(basis: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates (mod n) of each row of vecs in a triangular lattice basis.
-
-    Valid whenever the lattice contains n*Z^width, so coordinates only ever
-    matter mod n downstream.  Raises ValueError if some vector lies outside
-    the lattice.
-    """
-    basis = _elements(basis, "lattice basis entry")
-    vecs = _elements(vecs, "lattice vector entry").reshape(-1, basis.shape[0])
-    coords, rem = _back_substitute(basis, vecs, n)
-    if rem.any():
-        raise ValueError("vector is not in the lattice")
-    return coords
-
-
 def _clear(a: np.ndarray, k: int, n: int, v: np.ndarray | None = None, w: np.ndarray | None = None):
     """Clear a[k+1:, k] by unimodular row operations on rows k and below.
 
@@ -531,13 +497,14 @@ def _clear(a: np.ndarray, k: int, n: int, v: np.ndarray | None = None, w: np.nda
 
 
 def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Invariant factors of Z^w / (rowspan(mat) + n*Z^w) with transforms.
+    """Invariant factors of (Z/n)^w / rowspan(mat) with transforms.
 
     Returns (factors, v, w) where factors[j] | factors[j+1], all dividing n,
-    the column transform v satisfies: x is in the lattice iff (x @ v)[j] == 0
-    mod factors[j] for all j, and w = v^{-1} mod n recovers preimages.
-    Everything is computed with entries reduced mod n, which is harmless
-    because the lattice contains n*Z^w.  Each pivot is the first smallest
+    the column transform v satisfies: x is in the row span iff (x @ v)[j] ==
+    0 mod factors[j] for all j, and w = v^{-1} mod n recovers preimages.
+    Equivalently these are the invariant factors of Z^w / (rowspan(mat) +
+    n*Z^w), which is why every entry can stay reduced mod n.  Each pivot is
+    the first smallest
     nonzero entry of a[k:, k:] in row-major order; rows k.. are zero left
     of column k, so it is found from ``least``, each row's smallest nonzero
     entry, which is recomputed only for the rows an operation touched.

@@ -3,10 +3,11 @@
 Every test hashes deterministic outputs with sha256 and compares the digest
 with one recorded from the reference implementation: the Howell and
 diagonal forms with their transforms, the particular solutions and kernel
-bases of the solvers, the triangular lattice bases with the coordinates of
-their members (and which vectors lie outside), cohomology generators and
-coordinates, the preimage that ``classify`` reports for a coboundary, and
-the CLI's stdout on the shipped fixtures.  A refactor of ``zmod`` or
+bases of the solvers, the coordinates of vectors over a Howell form by
+back-substitution (and which vectors lie outside its span), cohomology
+generators and coordinates, the preimage that ``classify`` reports for a
+coboundary, normalized representatives, and the CLI's stdout on the
+shipped fixtures.  A refactor of ``zmod`` or
 ``cochains`` must keep every digest.  A change that alters a canonical
 output on purpose updates the digest here and says so in the change log."""
 
@@ -18,14 +19,23 @@ import numpy as np
 import pytest
 
 from arithcs.cli import main
-from arithcs.cochains import Coboundary, Cochain, classify, cohomology, differential, solve_differential
+from arithcs.cochains import (
+    Coboundary,
+    _factored_differential,
+    Cochain,
+    classify,
+    cohomology,
+    differential,
+    normalized_representative,
+    solve_differential,
+)
 from arithcs.groups import GModuleAction, cyclic, make_hom, symmetric3
 from arithcs.zmod import (
     ModuleOverZn,
+    _back_substitute,
     _howell_rows,
     diagonalize_mod,
-    lattice_basis,
-    lattice_coordinates,
+    howell_form,
     solve_linear,
 )
 
@@ -150,34 +160,35 @@ def test_solve_linear_digest(n):
 
 
 LATTICE = {
-    2: "86732908f635783ce7f180b66883f2cd0d7bc2a2694663b4499d69f8b0db12fc",
-    3: "3016d2f953feeabea58b312fff092a04b119bc584a730a5402055e5f55c40f09",
-    4: "03ff959d9d86e87130b7d995c9f20d4c08df2b3443c986ae5c14bc876791b722",
-    6: "275bc4a008bb0b133a3706ac4d21001e5a276fa795d574cab34718452c1a8f69",
-    8: "52510537f91e10650e3dfdbcc7eb05baf88e2061bef1a39e3ab7f9738cf06329",
-    9: "8ca07b5227d74df826c530c5233a81e56c76677fc3463e1d192fced36e64969d",
-    12: "a93a5218a4e5aca1a9f1d24853c1b5f222c64cc7d4c0c81cb7a18825126df2d6",
-    30: "11cc09c0a3fecf9fd3d8ae6894f33b6e639b69950e27dbb1afd70923bb615d1f",
-    64: "127ead50c901b5fa408c9a83d1d776020147f1eda72abc21795e7257a2c2d295",
-    65536: "c312612ec615d89f5c4348fa64b3d56bf9b8507444a2b520c0c117da59cb82eb",
+    2: "1afb4b25ac73bb6aa8926c0e0eeb507532b93c27f9d6b2e7c51ccfa730ffb1fa",
+    3: "fde57f6a4cfcca603e91344bc7ff90f20f0e00044aeb071666f0624352f4c40f",
+    4: "2792beddb78500cf62f6e5848af2863a2c26269d1c0b66f4c13769ad1d5b4239",
+    6: "4464e7d37c381e4a3684fc481309e617543cd7dfb78e2e7cb70a324c42dfea1c",
+    8: "96b7e3a338e9faf7e9e356f418769607dedd9bbdc70ae2965d7986a86763040f",
+    9: "5825c801a442afc02113408d567ffdb3127d2ef6531c28b7dffa02a42032ee9d",
+    12: "c21010fc585ae5f52e78ca06a6d87e23592b608c51935458092672b4522321b5",
+    30: "fb70086529559be5b605c50e8663f58e932d4cb497058566c1c0deb4e6ed3752",
+    64: "52a7ce2fb971646707ab7094120a3cf7dfb53fe531262d6921584c7d862d2ec6",
+    65536: "2eafceb747ee9846e20e42d62b9c2726b7161e6b13cae51c3881755c5eaa1ff7",
 }
 
 
 @pytest.mark.parametrize("n", MODULI)
 def test_lattice_basis_and_coordinates_digest(n):
+    # the lattice basis is a Howell form, as in ``cohomology``, and the
+    # coordinates come from back-substitution against it
     rng = np.random.default_rng(6000 + n)
     d = Digest()
     for mat in random_matrices(n, 60, seed=6000 + n):
-        width = mat.shape[1]
-        basis = lattice_basis(mat, width, n)
-        # members of the lattice, then random vectors, most of them outside it
-        members = rng.integers(0, n, size=(3, width)) @ basis % n
-        d.add(basis, lattice_coordinates(basis, members, n))
-        for x in rng.integers(0, n, size=(3, width)):
-            try:
-                d.add(lattice_coordinates(basis, x[None, :], n))
-            except ValueError:
-                d.add(None)
+        basis = howell_form(mat, n)[0]
+        # members of the span, then random vectors, most of them outside it
+        members = rng.integers(0, n, size=(3, basis.shape[0])) @ basis % n
+        coords, rem = _back_substitute(basis, members, n)
+        assert not rem.any()
+        d.add(basis, coords)
+        for x in rng.integers(0, n, size=(3, mat.shape[1])):
+            coords, rem = _back_substitute(basis, x[None, :], n)
+            d.add(None if rem.any() else coords)
     assert d.hexdigest() == LATTICE[n]
 
 
@@ -203,14 +214,14 @@ def cohomology_cases():
 
 COHOMOLOGY = {
     "H3(Z/4;Z/4)": "b5245266aaebe40bb7b436f3f1b70fac1adc08cc23abf39917976b17fb37a359",
-    "H3(S3;Z/3)": "a70b604f9172dc38778fabd99a98543b592bd4e4905c358818034052bec434a5",
+    "H3(S3;Z/3)": "e43f72cbe27e785b4f6e9ebae1b03564e2546fa2e38e2a733d507cf620055d95",
     "H3(Z/6;Z/6)": "77e921166ffa8455d9a7541f08ce476e607225299e6adfde9ef9e46362405425",
-    "H3(Z/6;Z/4 twisted)": "ac6cce54de1d174cd6256ed99fc1434abed97fa4ce2766e26450864b8a4fa611",
-    "H3(S3;Z/2+Z/4)": "d1ac3904c931d3a47398a727f6c5cafb56b9ace4c58b243c385d4de506c56f76",
+    "H3(Z/6;Z/4 twisted)": "52e38f0f691586033f958b3d25e136ad83ea22fd4302a6d6a7fc397454b19d85",
+    "H3(S3;Z/2+Z/4)": "e4c2a703e8f08e9a9057cc852141242e9184c6ed139fd2fc2ba85547f123c254",
     "H0(Z/4;Z/4)": "c537dfbda32d7534fd072cc813cde99c95ff6fbbe829719d9d053d055e2a2c9f",
     "H0(S3;Z/2+Z/4)": "84080453c04bb01a02527f4cea492055e99b8f46b2034477914a45794b054a95",
     "H1(S3;Z/2+Z/4)": "2742011e46546fe89b036220a4ce76e26f2afb53687c59614a90087154f7387d",
-    "H2(S3;Z/2+Z/4)": "444408cc925da12100b21242468828df3da7de4a11a094b167d80eac2f8549c3",
+    "H2(S3;Z/2+Z/4)": "871f47abab3138bfb36ec7f33c56a3a605cfd65cbfa39307a0d057e4d3c9440d",
 }
 
 
@@ -263,6 +274,30 @@ def test_solve_differential_and_classify_preimage(name):
         assert isinstance(result, Coboundary)
         d.add(result.preimage.values)
     assert d.hexdigest() == DIFFERENTIAL[name]
+
+
+NORMALIZED = {
+    "S3;Z/2+Z/4": (2, "bd5bd2bf13fc14dca1a02070af60223ede249417c1d5a317c03ef5ffaf1ce215"),
+    "Z/4;Z/4": (3, "cf313895c1b0b3776be1c63931ee8a52c07165ee3ad4db27d78f3483e06ed1c7"),
+}
+
+
+@pytest.mark.parametrize("name", list(NORMALIZED))
+def test_normalized_representative_digest(name):
+    if name == "S3;Z/2+Z/4":
+        coeffs = GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4)))
+    else:
+        coeffs = GModuleAction.trivial(cyclic(4), ModuleOverZn.cyclic(4))
+    degree, want = NORMALIZED[name]
+    rng = np.random.default_rng(10 + degree)
+    # random cocycles, most in nontrivial classes: combinations of the rows of d's kernel
+    k = _factored_differential(coeffs, degree).k
+    shape = (coeffs.group.order**degree, coeffs.module.rank)
+    d = Digest()
+    for _ in range(3):
+        f = Cochain(coeffs, degree, (rng.integers(0, coeffs.modulus, size=len(k)) @ k).reshape(shape))
+        d.add(normalized_representative(f).values)
+    assert d.hexdigest() == want
 
 
 CLI_REQUESTS = {

@@ -28,15 +28,18 @@ from arithcs.fixtures import quaternion_datum, quaternion_rho, toy_global_datum,
 from arithcs.groups import (
     GModuleAction,
     cyclic,
+    dihedral4,
+    direct_product,
     identity_hom,
     klein_four,
     make_hom,
+    quaternion8,
     s3_sign_hom,
     symmetric3,
     trivial_hom,
 )
 from arithcs.ops import carry_cocycle
-from arithcs.zmod import ModuleOverZn, solve_linear
+from arithcs.zmod import Factorization, ModuleOverZn, solve_linear
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -239,24 +242,151 @@ def test_h1_with_mixed_module():
     assert h.invariant_factors == (2, 2)  # Hom(Z/2, Z/2 x Z/4)
 
 
+SWEEP_GROUPS = {
+    "Z/4": Z4,
+    "Z/6": cyclic(6),
+    "S3": symmetric3(),
+    "V4": klein_four(),
+    "Q8": quaternion8(),
+    "D4": dihedral4(),
+}
+SWEEP_MODULES = {
+    "Z/2": ModuleOverZn.cyclic(2),
+    "Z/4": ModuleOverZn.cyclic(4),
+    "Z/2+Z/4": ModuleOverZn(4, (2, 4)),
+    "Z/6": ModuleOverZn.cyclic(6),
+    "Z/2+Z/3+Z/6": ModuleOverZn(6, (2, 3, 6)),
+}
+# invariant factors of H^0, H^1, ... in degrees 0-3 (0-2 for groups of order
+# 8), as the width-wide lattice presentation computed them before cohomology
+# moved to the Howell rows of Z^i
+SWEEP_FACTORS = {
+    "Z/4;Z/2": [(2,), (2,), (2,), (2,)],
+    "Z/4;Z/4": [(4,), (4,), (4,), (4,)],
+    "Z/4;Z/2+Z/4": [(2, 4), (2, 4), (2, 4), (2, 4)],
+    "Z/4;Z/6": [(6,), (2,), (2,), (2,)],
+    "Z/4;Z/2+Z/3+Z/6": [(6, 6), (2, 2), (2, 2), (2, 2)],
+    "Z/6;Z/2": [(2,), (2,), (2,), (2,)],
+    "Z/6;Z/4": [(4,), (2,), (2,), (2,)],
+    "Z/6;Z/2+Z/4": [(2, 4), (2, 2), (2, 2), (2, 2)],
+    "Z/6;Z/6": [(6,), (6,), (6,), (6,)],
+    "Z/6;Z/2+Z/3+Z/6": [(6, 6), (6, 6), (6, 6), (6, 6)],
+    "S3;Z/2": [(2,), (2,), (2,), (2,)],
+    "S3;Z/4": [(4,), (2,), (2,), (2,)],
+    "S3;Z/2+Z/4": [(2, 4), (2, 2), (2, 2), (2, 2)],
+    "S3;Z/6": [(6,), (2,), (2,), (6,)],
+    "S3;Z/2+Z/3+Z/6": [(6, 6), (2, 2), (2, 2), (6, 6)],
+    "V4;Z/2": [(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2)],
+    "V4;Z/4": [(4,), (2, 2), (2, 2, 2), (2, 2, 2, 2)],
+    "V4;Z/2+Z/4": [(2, 4), (2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2, 2, 2)],
+    "V4;Z/6": [(6,), (2, 2), (2, 2, 2), (2, 2, 2, 2)],
+    "V4;Z/2+Z/3+Z/6": [(6, 6), (2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2, 2, 2)],
+    "Q8;Z/2": [(2,), (2, 2), (2, 2)],
+    "Q8;Z/4": [(4,), (2, 2), (2, 2)],
+    "Q8;Z/2+Z/4": [(2, 4), (2, 2, 2, 2), (2, 2, 2, 2)],
+    "Q8;Z/6": [(6,), (2, 2), (2, 2)],
+    "Q8;Z/2+Z/3+Z/6": [(6, 6), (2, 2, 2, 2), (2, 2, 2, 2)],
+    "D4;Z/2": [(2,), (2, 2), (2, 2, 2)],
+    "D4;Z/4": [(4,), (2, 2), (2, 2, 2)],
+    "D4;Z/2+Z/4": [(2, 4), (2, 2, 2, 2), (2, 2, 2, 2, 2, 2)],
+    "D4;Z/6": [(6,), (2, 2), (2, 2, 2)],
+    "D4;Z/2+Z/3+Z/6": [(6, 6), (2, 2, 2, 2), (2, 2, 2, 2, 2, 2)],
+    "Z/6;Z/4 twisted": [(2,), (2,), (2,), (2,)],
+}
+
+
+def z6_twisted():
+    """Z/6 acting on Z/4 by -1 through its quotient Z/2."""
+    z6 = SWEEP_GROUPS["Z/6"]
+    return GModuleAction.by_character(make_hom(z6, Z2, np.arange(6) % 2), ModuleOverZn.cyclic(4), 3)
+
+
+def sweep():
+    """(coefficients, degree, invariant factors) for every case of SWEEP_FACTORS."""
+    for name, factors in SWEEP_FACTORS.items():
+        group, module = name.split(";")
+        if module == "Z/4 twisted":
+            coeffs = z6_twisted()
+        else:
+            coeffs = GModuleAction.trivial(SWEEP_GROUPS[group], SWEEP_MODULES[module])
+        for degree, expected in enumerate(factors):
+            yield coeffs, degree, expected
+
+
 def test_generators_hit_standard_basis():
-    for coeffs, deg in [(triv(Z4, 4), 3), (triv(klein_four(), 2), 2)]:
+    rng = np.random.default_rng(5)
+    for coeffs, deg, factors in sweep():
         h = cohomology(coeffs, deg)
+        assert h.invariant_factors == factors
         for j, gen in enumerate(h.generators):
             assert differential(gen).is_zero()
-            coords = h.coordinates(gen)
             expected = tuple(1 if t == j else 0 for t in range(len(h.generators)))
-            assert coords == expected
+            assert h.coordinates(gen) == expected
+            if deg:
+                moved = gen + differential(Cochain.random(coeffs, deg - 1, rng))
+                assert h.coordinates(moved) == expected
 
 
 def test_coboundaries_have_zero_coordinates():
     rng = np.random.default_rng(3)
-    for coeffs in small_corpus():
-        h = cohomology(coeffs, 2)
-        for _ in range(10):
-            beta = Cochain.random(coeffs, 1, rng)
+    cases = [(coeffs, 2, 10) for coeffs in small_corpus()]
+    cases += [(coeffs, deg, 3) for coeffs, deg, _ in sweep() if deg]
+    for coeffs, deg, count in cases:
+        h = cohomology(coeffs, deg)
+        for _ in range(count):
+            beta = Cochain.random(coeffs, deg - 1, rng)
             coords = h.coordinates(differential(beta))
             assert all(c == 0 for c in coords)
+
+
+def test_coordinates_refuse_non_cocycles():
+    rng = np.random.default_rng(8)
+    for coeffs, deg in [(triv(Z4, 2), 2), (GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4))), 2),
+                        (z6_twisted(), 3)]:
+        h = cohomology(coeffs, deg)
+        f = Cochain.random(coeffs, deg, rng)
+        assert not differential(f).is_zero()
+        for g in (f, f + h.generators[0]):
+            with pytest.raises(ValueError, match="not a cocycle"):
+                h.coordinates(g)
+
+
+def test_cohomology_depends_on_row_spaces_alone(monkeypatch):
+    # another generating set of the same Z^i: permuted rows, one row times a
+    # unit, and one more row that is a combination of the others
+    rng = np.random.default_rng(12)
+    cases = [
+        (GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4))), 2),
+        (GModuleAction.trivial(symmetric3(), ModuleOverZn.cyclic(3)), 3),
+        (z6_twisted(), 3),
+        (triv(cyclic(6), 6), 2),
+        (triv(klein_four(), 2), 2),
+    ]
+    factored = cochains._factored_differential
+    for coeffs, degree in cases:
+        cohomology.cache_clear()
+        want = cohomology(coeffs, degree)
+        f, n = factored(coeffs, degree), coeffs.modulus
+        k = f.k[rng.permutation(len(f.k))]
+        k[0] = k[0] * (n - 1) % n
+        k = np.vstack([k, rng.integers(0, n, size=len(k)) @ k % n])
+        other = Factorization(f.h, f.u, k, n)
+        monkeypatch.setattr(cochains, "_factored_differential", lambda c, i: other if (c, i) == (coeffs, degree) else factored(c, i))
+        cohomology.cache_clear()
+        got = cohomology(coeffs, degree)
+        monkeypatch.undo()
+        assert got.invariant_factors == want.invariant_factors
+        assert [g.values.tobytes() for g in got.generators] == [g.values.tobytes() for g in want.generators]
+        for a, b in [(got.basis, want.basis), (got.transform, want.transform)]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    cohomology.cache_clear()
+
+
+def test_cohomology_is_presented_on_the_cocycles():
+    # the basis has one row per Howell row of Z^2, not one per coordinate of C^2
+    h = cohomology(triv(direct_product(quaternion8(), Z3), 2), 2)
+    assert h.basis.shape == (24, 576)
+    assert h.invariant_factors == (2, 2)
 
 
 def test_pullback_identity_and_trivial():
@@ -433,6 +563,26 @@ def test_factored_differential_keeps_no_dense_copy(monkeypatch):
     assert _scaled_differential.cache_info().currsize == 0
     # the factorization is what stays cached
     assert _factored_differential(coeffs, 2).k is k and len(built) == 1
+
+
+def test_normalized_representative_builds_only_the_degenerate_rows(monkeypatch):
+    coeffs = GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4)))
+    f = differential(Cochain.random(coeffs, 2, np.random.default_rng(6)))
+    shapes = []
+    build = cochains._differential_matrix
+
+    def recording(*args):
+        d = build(*args)
+        shapes.append(d.shape)
+        return d
+
+    monkeypatch.setattr(cochains, "_differential_matrix", recording)
+    g = normalized_representative(f)
+    # 6^3 - 5^3 = 91 triples contain the identity, each with two coordinates
+    assert shapes == [(91 * 2, 36 * 2)]
+    vals = g.values.reshape(6, 6, 6, 2)
+    assert not (vals[0].any() or vals[:, 0].any() or vals[:, :, 0].any())
+    assert isinstance(classify(g - f), Coboundary)
 
 
 def test_normalized_representative():

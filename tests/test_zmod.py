@@ -8,16 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 from arithcs.zmod import (
     MAX_MODULUS,
     ModuleOverZn,
+    _back_substitute,
     _form_dtype,
     _howell_rows_gf2,
     _howell_rows_int64,
+    _leading,
     _xgcd,
     annihilator,
     diagonalize_mod,
     factorize,
     howell_form,
-    lattice_basis,
-    lattice_coordinates,
     left_kernel,
     right_kernel,
     solve_linear,
@@ -114,16 +114,8 @@ def test_matrix_entries_are_read_strictly():
         left_kernel(np.eye(2, dtype=bool), 2)
     with pytest.raises(ValueError, match="matrix entry dtype float64"):
         diagonalize_mod(np.eye(2) * 2.5, 4)
-    with pytest.raises(ValueError, match="lattice generator entry 0.5 is not an integer"):
-        lattice_basis([[0.5, 1]], 2, 4)
-    basis = lattice_basis([[2, 1]], 2, 4)
-    with pytest.raises(ValueError, match="lattice vector entry 2.0 is not an integer"):
-        lattice_coordinates(basis, [[2.0, 1]], 4)
-    with pytest.raises(ValueError, match="lattice basis entry dtype float64"):
-        lattice_coordinates(basis.astype(float), [[2, 1]], 4)
     # integer arrays of any integer dtype are read as before
     assert solve_linear(np.eye(2, dtype=np.uint8), np.array([1, 3], dtype=np.int16), 5).particular.tolist() == [1, 3]
-    assert lattice_coordinates(basis, np.array([[2, 1]], dtype=np.uint16), 4).tolist() == [[1, 0]]
 
 
 @pytest.mark.parametrize("a,n", [(0, 6), (2, 4), (3, 6), (4, 6), (10, 12), (8, 12)])
@@ -511,24 +503,24 @@ def test_diagonalize_mod_matches_enumeration(n):
 
 @pytest.mark.parametrize("n", [2, 4, 9])
 def test_lattice_basis_and_coordinates(n):
+    # ``cohomology`` takes the Howell form of the cocycles as its basis and
+    # reads coordinates by back-substitution against it: by the Howell
+    # property the remainder is zero exactly on the span, over Z/2 too
     rng = np.random.default_rng(70 + n)
     for _ in range(20):
         w = int(rng.integers(1, 4))
         rows = rng.integers(0, n, size=(int(rng.integers(0, 3)), w))
-        basis = lattice_basis(rows, w, n)
-        # triangular with pivots dividing n
-        for j in range(w):
-            assert n % int(basis[j, j] % n or n) == 0
-            assert not basis[j, :j].any()
-        span = brute_span_with_n(rows, w, n)  # nZ^w reduces away mod n
-        for x in itertools.product(range(n), repeat=w):
-            try:
-                c = lattice_coordinates(basis, np.array([x]), n)[0]
-                assert tuple((c @ basis) % n) == x
-                member = True
-            except ValueError:
-                member = False
-            assert member == (x in span)
+        basis, _ = howell_form(rows, n)
+        # echelon, with pivots dividing n
+        lead = _leading(basis)
+        assert (np.diff(lead) > 0).all()
+        assert all(n % int(basis[i, j]) == 0 for i, j in enumerate(lead))
+        span = brute_span_with_n(rows, w, n)
+        xs = np.array(list(itertools.product(range(n), repeat=w)), dtype=np.int64)
+        coords, rem = _back_substitute(basis, xs, n)
+        for x, c, r in zip(xs, coords, rem):
+            assert ((c @ basis + r) % n == x).all()
+            assert (not r.any()) == (tuple(x) in span)
 
 
 # ---------------------------------------------------------------------------
