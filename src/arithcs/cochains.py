@@ -178,12 +178,38 @@ class Cochain:
         return cls(coeffs, degree, vals)
 
 
-def _act_batch(coeffs: GModuleAction, gs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply action(gs[t]) to values[t] for all t at once."""
-    if coeffs.is_trivial():
-        return values
-    mats = coeffs.matrices[gs]
-    return np.einsum("nuv,nv->nu", mats, values)
+def _tensor(f: Cochain) -> np.ndarray:
+    """f's values as a read-only view of shape (|G|,) * degree + (rank M,)."""
+    return f.values.reshape((f.group.order,) * f.degree + (f.module.rank,))
+
+
+def _coboundary(f: Cochain) -> np.ndarray:
+    """df as an unreduced int64 array of shape (|G|,) * (i + 1) + (rank M,).
+
+    Each face is a view or one gather of f's tensor, never a table of flat
+    indices: face 0 broadcasts f over the new first axis (acted on by g_1
+    through one einsum unless the action is trivial), the middle face k
+    takes f along axis k - 1 at mul[g_k, g_{k+1}], and the last face
+    broadcasts f over the new last axis.
+    """
+    i, mul = f.degree, f.group.mul
+    values = _tensor(f)
+    if f.coeffs.is_trivial():
+        acc = np.broadcast_to(values, (mul.shape[0],) + values.shape).copy()
+    else:
+        acc = np.einsum("guv,...v->g...u", f.coeffs.matrices, values)
+    for k in range(1, i + 1):
+        face = np.take(values, mul, axis=k - 1)
+        if k % 2:
+            acc -= face
+        else:
+            acc += face
+        del face  # free this face before the next one is built
+    if i % 2:
+        acc += values[..., None, :]
+    else:
+        acc -= values[..., None, :]
+    return acc
 
 
 def differential(f: Cochain, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> Cochain:
@@ -194,13 +220,7 @@ def differential(f: Cochain, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> Cochain
     i = f.degree
     if i + 1 > degree_cap:
         raise DegreeBoundError(f"differential output degree {i + 1} exceeds cap {degree_cap}")
-    faces = _faces(f.group, i)
-    first = _digits(f.group.order, i + 1)[0]
-    acc = _act_batch(f.coeffs, first, f.values[next(faces)[1]]).astype(np.int64)
-    for sign, idx in faces:
-        acc += sign * f.values[idx]
-        del idx  # free this face's index before the next one is built
-    return Cochain(f.coeffs, i + 1, acc)
+    return Cochain(f.coeffs, i + 1, _coboundary(f))
 
 
 def pullback(rho: GroupHom, f: Cochain) -> Cochain:
@@ -208,10 +228,7 @@ def pullback(rho: GroupHom, f: Cochain) -> Cochain:
     if rho.cod != f.group:
         raise ValueError("pullback target group does not match the cochain's group")
     induced = GModuleAction(rho.dom, f.module, f.coeffs.matrices[rho.map])
-    m = rho.dom.order
-    i = f.degree
-    idx = _encode((rho.map[d] for d in _digits(m, i)), f.group.order, m**i)
-    return Cochain(induced, i, f.values[idx])
+    return Cochain(induced, f.degree, _tensor(f)[np.ix_(*[rho.map] * f.degree)])
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +259,68 @@ def _differential_matrix(coeffs: GModuleAction, i: int, rows: np.ndarray | None 
     return out.reshape(count * r, m**i * r)
 
 
-def _row_scales(coeffs: GModuleAction, degree: int) -> np.ndarray:
-    """Scale factor n / order(coordinate) for each flattened coordinate of C^degree."""
+def _row_scales(coeffs: GModuleAction, tuples: int) -> np.ndarray:
+    """Scale factor n / order(coordinate) for each flattened coordinate of
+    ``tuples`` module values (|G|^degree of them for all of C^degree)."""
     n = coeffs.modulus
-    m = coeffs.group.order
     per = np.array([n // d for d in coeffs.module.orders], dtype=np.int64)
-    return np.tile(per, m**degree)
+    return np.tile(per, tuples)
 
 
-def _scaled(f: Cochain) -> np.ndarray:
-    """f's flattened values with each row scaled as in ``_scaled_differential``."""
-    return (f.values.reshape(-1) * _row_scales(f.coeffs, f.degree)) % f.coeffs.modulus
+def _scaled(f: Cochain, rows: np.ndarray) -> np.ndarray:
+    """f's values at the flat tuple indices ``rows``, flattened, each
+    coordinate scaled as in ``_scaled_differential``."""
+    return (f.values[rows] * _row_scales(f.coeffs, 1)).ravel() % f.coeffs.modulus
+
+
+@functools.lru_cache(maxsize=None)
+def _generating_set(group: FiniteGroup) -> tuple[int, ...]:
+    """The greedy generating set S of ``group``: in element order, each
+    element outside the subgroup generated by the earlier ones joins S.
+
+    {1} for a cyclic group, {1, 2} for ``quaternion8``, and {e} for the
+    trivial group, whose d has only rows with first entry e.
+    """
+    inside = np.zeros(group.order, dtype=bool)
+    inside[0] = True
+    gens: list[int] = []
+    for g in range(1, group.order):
+        if inside[g]:
+            continue
+        gens.append(g)
+        # in a finite group the positive words in S reach all of <S>
+        new = np.flatnonzero(inside)
+        while new.size:
+            new = np.unique(group.mul[np.ix_(new, gens)])
+            new = new[~inside[new]]
+            inside[new] = True
+    return tuple(gens) or (0,)
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_rows(group: FiniteGroup, degree: int) -> np.ndarray:
+    """Flat indices of the degree-tuples whose first entry lies in
+    ``_generating_set(group)``, in increasing order."""
+    block = group.order ** (degree - 1)
+    first = np.array(_generating_set(group), dtype=np.int64)
+    return _freeze((first[:, None] * block + np.arange(block)).ravel())
 
 
 # maxsize=0 caches nothing; it keeps cache_info(), whose misses perfbench's tracer counts as dense builds
 @functools.lru_cache(maxsize=0)
 def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
-    """d as a Z/n matrix whose kernel/image encode the mixed-order module exactly.
+    """The generator rows of d: C^i -> C^(i+1) as a Z/n matrix whose kernel
+    is Z^i exactly.
+
+    Only the rows of the (i+1)-tuples whose first entry lies in the
+    generating set S of ``_generating_set`` are built: |S|·|G|^i·r rows, not
+    |G|^(i+1)·r.  That loses no cocycle condition.  The cocycle identity
+    writes z(gh, ...) as g·z(h, ...) plus terms whose first entry is g, so a
+    cocycle z that vanishes at first entries g and h vanishes at gh, and
+    every element is a positive word in S.  df is a cocycle, so df = 0
+    exactly when its S rows vanish (Brown, *Cohomology of Groups*, on
+    inhomogeneous cochains).  For a target that is not a cocycle the S rows
+    say nothing, which is why ``solve_differential`` checks d x on all rows.
 
     An int64 array with entries in [0, n), to be passed to the ``zmod``
     routines together with n = ``coeffs.modulus``.  Row s is multiplied by
@@ -266,8 +328,9 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     coordinate's cyclic order.  Scaling and reduction happen in place, so
     building d holds one copy of it, which only the caller keeps.
     """
-    d = _differential_matrix(coeffs, i)
-    d *= _row_scales(coeffs, i + 1)[:, None]
+    rows = _generator_rows(coeffs.group, i + 1)
+    d = _differential_matrix(coeffs, i, rows)
+    d *= _row_scales(coeffs, rows.size)[:, None]
     d %= coeffs.modulus
     return d
 
@@ -276,48 +339,71 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
 def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
     """``factorize`` of ``_scaled_differential(coeffs, i)``, cached.
 
-    The one cached form of d, whose dense matrix is dropped once factored.
-    Its k is the right kernel that ``cohomology`` reads and that seeded global
-    trivializations sample from, and its ``solve`` serves every
-    ``solve_differential``, so each d is built and eliminated once however
-    many targets are solved against it.  Its h, with one row per pivot and
-    one column per coordinate of C^(i+1), is in ``zmod._form_dtype``.
+    The one cached form of d, whose dense generator rows are dropped once
+    factored.  Its k is the Howell form of Z^i, which ``cohomology`` reads
+    and seeded global trivializations sample from, and its ``solve`` serves
+    every ``solve_differential`` on the target's generator rows, so each d
+    is built and eliminated once however many targets are solved against it.
+    Its h, with one row per pivot and one column per generator-row
+    coordinate of C^(i+1), is in ``zmod._form_dtype``.
     """
     return factorize(_scaled_differential(coeffs, i), coeffs.modulus)
 
 
 @functools.lru_cache(maxsize=None)
 def _factored_with_generator(generator: Cochain) -> Factorization:
-    """``factorize`` of the differential into ``generator``'s degree with
-    ``_scaled(generator)`` as one more column, cached per generator.
+    """``factorize`` of the generator rows of the differential into
+    ``generator``'s degree with the same rows of the scaled ``generator`` as
+    one more column, cached per generator.
 
-    Solving it against ``_scaled(x)`` writes x = d(beta) + k * generator.
-    ``local_invariant`` solves against the one of its place's generator, so
-    each place's matrix is built and eliminated once however many invariants
-    follow; the dense d is freed before the elimination.
+    Solving it against the generator rows of a scaled cocycle x writes
+    x = d(beta) + k * generator, on every row, because both sides are
+    cocycles; so the generator must be one.  ``local_invariant`` refuses an
+    x that is not a cocycle and solves against the factorization of its
+    place's generator, so each place's matrix is built and eliminated once
+    however many invariants follow; the dense d is freed before the
+    elimination.
     """
     coeffs = generator.coeffs
-    d = np.hstack([_scaled_differential(coeffs, generator.degree - 1), _scaled(generator)[:, None]])
+    if not differential(generator).is_zero():
+        raise ValueError("the generator is not a cocycle")
+    rows = _generator_rows(coeffs.group, generator.degree)
+    d = np.hstack([_scaled_differential(coeffs, generator.degree - 1), _scaled(generator, rows)[:, None]])
     return factorize(d, coeffs.modulus)
 
 
 def solve_differential(coeffs: GModuleAction, degree: int, target: Cochain) -> Cochain | None:
     """Solve d x = target for x in C^degree; None when no solution exists.
 
-    The returned solution is the canonical one under leftmost-pivot solving,
-    read off the cached ``_factored_differential`` by its ``solve`` (packed
-    XORs over Z/2, a back-substitution otherwise), so only the first solve
-    on a differential (or a ``cohomology`` before it) eliminates d.  Every
-    other solution is x plus a cocycle, a combination of the rows of that
-    factorization's k.  The target must be a cochain on
+    The returned solution is the canonical one: ``Factorization.solve`` of
+    the cached ``_factored_differential`` (packed XORs over Z/2,
+    back-substitutions otherwise) on the target's generator rows, which is
+    the representative of x + Z^degree reduced against the Howell form of
+    Z^degree.  It depends on the solution set alone, so it equals the
+    solution of the full system d x = target.  Only the first solve on a
+    differential (or a ``cohomology`` before it) eliminates d.  Every other
+    solution is x plus a cocycle, a combination of the rows of that
+    factorization's k.  The generator rows decide solvability only for a
+    cocycle target, so x is returned only if d x == target holds on every
+    row, checked by one differential of x.  The target must be a cochain on
     ``coeffs`` of degree ``degree + 1``.
     """
     if target.degree != degree + 1:
         raise ValueError("target degree must be degree + 1")
     if target.coeffs != coeffs:
         raise ValueError("target lives on other coefficients than the ones solved over")
-    sol = _factored_differential(coeffs, degree).solve(_scaled(target))
-    return None if sol is None else Cochain(coeffs, degree, sol.particular)
+    rows = _generator_rows(coeffs.group, degree + 1)
+    sol = _factored_differential(coeffs, degree).solve(_scaled(target, rows))
+    if sol is None:
+        return None
+    x = Cochain(coeffs, degree, sol.particular)
+    # d x - target is zero mod the orders where each order divides it; numpy
+    # floor-divides by an order several times faster than it takes % of it
+    diff = _coboundary(x).reshape(target.values.shape) - target.values
+    orders = np.asarray(coeffs.module.orders, dtype=np.int64)
+    if (diff // orders * orders != diff).any():
+        return None
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +490,10 @@ class CohomologyGroup:
 def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     """Compute H^degree(G, M) = ker d / im d by canonical forms.
 
-    The cocycles Z^i are the row space of the k of the cached
-    ``_factored_differential`` (the right kernel of d over Z/n), so a later
-    ``solve_differential`` on the same d reuses this elimination.  H is
-    presented on the z rows of their Howell form hZ: (Z/n)^z maps onto Z^i
+    The cocycles Z^i are the right kernel over Z/n of the generator rows of
+    d, whose Howell form hZ is the k of the cached ``_factored_differential``,
+    so a later ``solve_differential`` on the same d reuses this elimination.
+    H is presented on the z rows of hZ: (Z/n)^z maps onto Z^i
     by c -> c @ hZ, with kernel the left kernel of hZ, and the coboundaries
     pull back to their hZ-coordinates, which back-substitution finds exactly
     (the Howell property).  ``diagonalize_mod`` of these z-wide relations
@@ -426,9 +512,9 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     m = coeffs.group.order
     r = coeffs.module.rank
     width = m**degree * r
-    orders = n // _row_scales(coeffs, degree)
+    orders = n // _row_scales(coeffs, m**degree)
 
-    basis = howell_form(_factored_differential(coeffs, degree).k, n)[0]
+    basis = _factored_differential(coeffs, degree).k
 
     # coboundaries: the columns of d^(k-1) (none in degree 0), built uncached,
     # plus o_t e_t where o_t < n (the rest are zero mod n), in hZ-coordinates
@@ -459,13 +545,11 @@ def normalized_representative(f: Cochain) -> Cochain:
     i = f.degree
     if i == 0:
         return f
-    r = f.module.rank
     # only the rows of d^(i-1) at the i-tuples with the identity in some position
     degenerate = np.flatnonzero((np.stack(_digits(f.group.order, i)) == 0).any(axis=0))
-    sel = (degenerate[:, None] * r + np.arange(r)).ravel()
     a = _differential_matrix(f.coeffs, i - 1, degenerate)
-    a *= _row_scales(f.coeffs, i)[sel, None]
-    sol = solve_linear(a, _scaled(f)[sel], f.coeffs.modulus)
+    a *= _row_scales(f.coeffs, degenerate.size)[:, None]
+    sol = solve_linear(a, _scaled(f, degenerate), f.coeffs.modulus)
     if sol is None:
         raise ValueError("no normalized representative in the coboundary class")
     return f - differential(Cochain(f.coeffs, i - 1, sol.particular))

@@ -34,6 +34,7 @@ from .cochains import (
     solve_differential,
     _factored_differential,
     _factored_with_generator,
+    _generator_rows,
     _scaled,
 )
 from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, cyclic, make_hom
@@ -194,15 +195,17 @@ def local_invariant(x: Cochain, place: PlaceDatum) -> InvariantValue:
 
     Writes [x] = k [h2_generator] by solving d(beta) + k h2_generator = x
     exactly, against the place's cached ``_factored_with_generator``, so
-    only the first call on a place eliminates; k is unique mod n because the
-    declared generator has order n.  Returns k * inv_normalization / n.
+    only the first call on a place eliminates.  The solve reads only x's
+    generator rows, which decide it because x and the generator are both
+    cocycles.  k is unique mod n because the declared generator has order
+    n.  Returns k * inv_normalization / n.
     """
     n = place.modulus
     if x.coeffs != place.h2_generator.coeffs or x.degree != 2:
         raise ValueError("expected a degree-2 cochain on the place's local group")
     if not differential(x).is_zero():
         raise ValueError("local invariants are defined on cocycles only")
-    sol = _factored_with_generator(place.h2_generator).solve(_scaled(x))
+    sol = _factored_with_generator(place.h2_generator).solve(_scaled(x, _generator_rows(x.group, 2)))
     if sol is None:
         raise NotInGeneratedSummandError(
             "class lies outside the cyclic summand generated by the declared h2_generator"

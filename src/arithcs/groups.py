@@ -308,17 +308,21 @@ class GModuleAction:
             raise ValueError("need one r x r matrix per group element")
         orders = np.asarray(self.module.orders, dtype=np.int64)
         mats %= orders[None, :, None]  # reduce each row mod its target order
-        if not np.array_equal(mats[0] % orders[:, None], np.eye(r, dtype=np.int64) % orders[:, None]):
+        eye = np.eye(r, dtype=np.int64) % orders[:, None]
+        if not np.array_equal(mats[0] % orders[:, None], eye):
             raise ValueError("action of the identity must be the identity map")
         # well-defined on each cyclic factor
         if ((mats * orders[None, None, :]) % orders[None, :, None]).any():
             raise ValueError("action matrix does not respect the cyclic orders")
-        # action(g*h) == action(g) action(h)
-        comp = np.einsum("guv,hvw->ghuw", mats, mats) % orders[None, None, :, None]
-        table = mats[self.group.mul]
-        if not np.array_equal(comp, table):
-            g, h = (int(x) for x in np.argwhere((comp != table).any(axis=(2, 3)))[0])
-            raise ValueError(f"action is not multiplicative at witness pair ({g}, {h})")
+        # action(g*h) == action(g) action(h), which needs no check when every
+        # matrix is the identity, as for most pulled-back scalar actions
+        object.__setattr__(self, "_trivial", bool((mats == eye).all()))
+        if not self._trivial:
+            comp = np.einsum("guv,hvw->ghuw", mats, mats) % orders[None, None, :, None]
+            table = mats[self.group.mul]
+            if not np.array_equal(comp, table):
+                g, h = (int(x) for x in np.argwhere((comp != table).any(axis=(2, 3)))[0])
+                raise ValueError(f"action is not multiplicative at witness pair ({g}, {h})")
         # hence action(g) action(g^{-1}) == action(0) == id: every matrix is invertible
         object.__setattr__(self, "matrices", _freeze(mats))
 
@@ -327,9 +331,7 @@ class GModuleAction:
         return self.module.modulus
 
     def is_trivial(self) -> bool:
-        eye = np.eye(self.module.rank, dtype=np.int64)
-        orders = np.asarray(self.module.orders, dtype=np.int64)
-        return bool((self.matrices == eye[None] % orders[:, None]).all())
+        return self._trivial
 
     def apply(self, g: int, values) -> np.ndarray:
         v = np.asarray(values, dtype=np.int64)

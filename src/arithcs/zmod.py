@@ -14,14 +14,19 @@ nonzero, in int64 (``_howell_rows_int64``); the two give equal results over
 Z/2.  Both return the form h in that dtype, the transform and kernel in int64.
 
 ``factorize(a, n)`` keeps (h, u, k) of ``_howell_rows(a.T, n)`` as a
-``Factorization``, whose ``solve`` answers a @ x == b for one b without
-eliminating again; ``solve_linear`` is factorize-then-solve and
-``right_kernel`` is its k, so a caller that keeps the value (the cochain
-layer caches one per differential) factors a matrix once for any number of
-solves.  Over Z/2 a solve XORs rows of h and u packed into uint64 words;
-over any other modulus it runs ``_back_substitute``, which reduces vectors
-against a Howell form; a zero remainder means membership.  ``cohomology``
-also reads coordinates over the Howell rows of the cocycles with it.  The
+``Factorization``, whose k is the Howell form of the right kernel and whose
+``solve`` answers a @ x == b for one b without eliminating again;
+``solve_linear`` is factorize-then-solve and ``right_kernel`` is its k, so a
+caller that keeps the value (the cochain layer caches one per differential)
+factors a matrix once for any number of solves.  The particular solution is
+reduced against k, so it is the one representative of x + ker(a) that
+back-substitution leaves: it depends on the solution set alone, not on the
+rows of a or the order of the row operations.  Over Z/2 a solve XORs rows of
+h and u packed into uint64 words, u with the reduction folded in; over any
+other modulus it runs ``_back_substitute``, which reduces vectors against a
+Howell form (a zero remainder means membership), once against h and once
+against k.  ``cohomology`` also reads coordinates over the Howell rows of
+the cocycles with it.  The
 two-sided invariant-factor diagonalization ``diagonalize_mod`` of a
 quotient (Z/n)^w / rowspan gives ``cohomology`` its invariant factors,
 generators and coordinates; ``_clear`` clears its pivot columns, and its
@@ -347,7 +352,7 @@ def left_kernel(a, n: int) -> np.ndarray:
 
 
 def right_kernel(a, n: int) -> np.ndarray:
-    """Rows generating {x : a @ x == 0} over Z/n."""
+    """The Howell form of {x : a @ x == 0} over Z/n, whose rows generate it."""
     return factorize(a, n).k
 
 
@@ -390,7 +395,9 @@ class Factorization:
     """(h, u, k) of ``_howell_rows(a.T, n)``: a factored once, for many solves.
 
     h is the Howell form of a's column space in dtype ``_form_dtype(n)``,
-    u @ a.T == h, and the rows of k generate the right kernel of a.  The
+    u @ a.T == h, and k is the Howell form (int64) of the row space of the k
+    it is given, which for ``factorize`` is the right kernel of a.  So k
+    depends on that row space alone, whichever rows generated it.  The
     arrays are read-only, so one value can be shared by every caller.  Over
     Z/2 the first ``solve`` also keeps h and u packed into uint64 words
     (``_packed``), so a factorization that is never solved holds no second
@@ -403,25 +410,40 @@ class Factorization:
     modulus: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _howell_rows(self.k, self.modulus)[0].astype(np.int64))
         for a in (self.h, self.u, self.k):
             _freeze(a)
 
     @functools.cached_property
     def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pivot columns of h, and h and u as ``_pack`` words (Z/2 only)."""
-        return _leading(self.h), _pack(self.h, self.h.shape[1]), _pack(self.u, self.u.shape[1])
+        """The pivot columns of h, h as ``_pack`` words, and u as words with
+        each row reduced against k (Z/2 only).
+
+        Over Z/2 the Howell form k is reduced row echelon, so reducing a
+        vector against it XORs in the rows of k whose pivot column holds a 1
+        in that vector: a linear map.  The XOR of reduced rows of u is then
+        the reduced XOR of those rows, and a solve reduces nothing itself.
+        """
+        u = _pack(self.u, self.u.shape[1])
+        for row, col in zip(_pack(self.k, self.k.shape[1]), _leading(self.k)):
+            u[self.u[:, col] != 0] ^= row
+        return _leading(self.h), _pack(self.h, self.h.shape[1]), u
 
     def solve(self, b) -> LinearSolution | None:
         """Solve a @ x == b; None means no solution exists.
 
-        The particular solution is the canonical one produced by
-        back-reduction against h (leftmost pivot, smallest representative).
+        The particular solution is canonical: a solution by back-reduction
+        against h, then reduced against the Howell form k by
+        ``_back_substitute``.  By the Howell property that remainder is the
+        same for every element of x + span(k), so it depends only on the
+        solution set, not on the engine or on the order of a's rows.
         kernel_basis is k, so the solution set is particular + span(kernel).
-        Any modulus other than 2 runs ``_back_substitute``.  Over Z/2, h is
-        reduced row echelon: every pivot is 1 and the only 1 of its column.
-        So the coefficients of that reduction are b's entries at the pivot
-        columns, and the solve XORs the selected rows of the packed h, which
-        must give b, and of the packed u, which gives the solution.
+        Any modulus other than 2 runs ``_back_substitute`` twice.  Over Z/2,
+        h is reduced row echelon: every pivot is 1 and the only 1 of its
+        column.  So the coefficients of that reduction are b's entries at the
+        pivot columns, and the solve XORs the selected rows of the packed h,
+        which must give b, and of the packed and reduced u, which gives the
+        solution.
         """
         n = self.modulus
         b = _elements(b, "right-hand side entry").ravel()
@@ -439,11 +461,13 @@ class Factorization:
         coeff, rem = _back_substitute(self.h, b[None, :], n)
         if rem.any():
             return None
-        return LinearSolution(particular=coeff[0] @ self.u % n, kernel_basis=self.k)
+        particular = _back_substitute(self.k, coeff @ self.u, n)[1][0]
+        return LinearSolution(particular=particular, kernel_basis=self.k)
 
 
 def factorize(a, n: int) -> Factorization:
-    """Factor a over Z/n once; ``solve`` then costs one back-substitution."""
+    """Factor a over Z/n once; ``solve`` then costs one packed XOR over Z/2
+    and two back-substitutions over any other modulus."""
     a, n = _matrix(a, n)
     return Factorization(*_howell_rows(a.T, n), n)
 

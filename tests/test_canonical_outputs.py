@@ -128,16 +128,16 @@ def test_diagonalize_mod_digest(n):
 
 
 SOLVE = {
-    2: "0defc46d34d876ee9ea76620f1d4a160b98c44f21369ce78b85b85bbe833dd90",
-    3: "10dc3b0a8ba9b3523eb0cab891d9015d2af656a8ac8100e78aac8929a7a1f6e1",
-    4: "12de54c6721c241346e52f63df7761e6344e77cd620b6f56ae3cfd3ccb27f79b",
-    6: "924cfc8fee094a1563f76d4ea66fede10b7aa50046b8ebc6ac34577965071b5b",
-    8: "9de1775f872ad796b912ed3d2ed40306439e2960cbeebdb0d05a19b059971c41",
-    9: "c5e674b2aa8b4f5aa71e651b8ec20c307d23981c21c3e1a923c82db1fc669caa",
-    12: "42cfb9a969122a493e9b81c021cdd01d84be73f3261a195d79a1f3971bee6ace",
-    30: "7a8093054edd3778dc93e424dafbb8902a1e28f2079adcb81e775b2e98928f58",
-    64: "bdd9882e58a0b2c1a32cf54ae1f39dcfda269dc87877df794beb7cf85e284efc",
-    65536: "9e255a8f671b9aa1df1291d5728a62543a8e0bb75a99eb435846b6bb7522fca0",
+    2: "1f2e4ba4f6415fa5587443d145c75f846e9133e09d799f572d9c1654a87f544f",
+    3: "0332420fb155e04155fdeaa06f87edd7a43125a5d7e6e4ef10b7558f3f8b5611",
+    4: "8c6bccf99f7bb6b37b29011b679d36beeea9ea9521bbdd063cc05c3d9a2350b4",
+    6: "88671d7c7c3ffd479af3aeab0b787bf2b965388681c0fdea2ace86731d3e5986",
+    8: "ccb6f127c11d9d41518cbdd88e55100ec3e6c7fd51c0dcf93dc87615c25cd0de",
+    9: "1083d3889ea3718375d5b8d77b3ecca3e07685df4e037bb057367830cc9e1dc7",
+    12: "aa149a64d308b2165b344b96222a242bd3b760777c56de1fb372b7a9c41fc223",
+    30: "6e5a752f105492efefdb0273b8de4e82a711f9ef6eb8d8887bcb2c5df377e81c",
+    64: "e21df845014d8cfb612fb12d31b49e0931557b9c5f476f7d6fba219b6013cfd3",
+    65536: "cb5110f1c23b403b85f96f1c7b917f36b645cf563c3781c2369f5aa15b8b5fa4",
 }
 
 
@@ -249,8 +249,8 @@ def test_cohomology_generators_and_coordinates(name):
 
 
 DIFFERENTIAL = {
-    "S3;Z/3": "dd3ea63510e86fd1e1e79f3886dc7393976075693270b292ed7cff0c1ad350dd",
-    "Z/6;Z/4 twisted": "a7753b2478b9ea29270bdb70f00a6ce4d983a586c579908a15bf75eed2c3ff77",
+    "S3;Z/3": "2f8b7701999e63d2400f3a5fb89b072a1ca4f3c0a90f51a6447beb44daba2b24",
+    "Z/6;Z/4 twisted": "5258fdd26e8fcddd90738e53bde367fcc6f1db497b41dbe2de6175505cff214f",
 }
 
 
@@ -277,8 +277,8 @@ def test_solve_differential_and_classify_preimage(name):
 
 
 NORMALIZED = {
-    "S3;Z/2+Z/4": (2, "bd5bd2bf13fc14dca1a02070af60223ede249417c1d5a317c03ef5ffaf1ce215"),
-    "Z/4;Z/4": (3, "cf313895c1b0b3776be1c63931ee8a52c07165ee3ad4db27d78f3483e06ed1c7"),
+    "S3;Z/2+Z/4": (2, "54843b678ceb78ac50ec4aed50f4beb5e1562daf74ab215ae8abbc076bb87a51"),
+    "Z/4;Z/4": (3, "ac626d5972217a7890c7c0b0abd68e9ea0a73648a5b7649a8071f7278172d4fb"),
 }
 
 
@@ -329,7 +329,7 @@ CLI = {
     "classify-three-cocycle": "116ae832bef0aae39a6e9a3a52c853e8ac681101a0339b5194bfd536cb359708",
     "bockstein": "01ae8b15e4f0cf069358744b995d957a57b1997bc00ffc4632eb0d87aa1a5984",
     "homotopy": "4c07be90f500011779ad964c8844eca29eee553c98a9288863b70cd83017e87f",
-    "kummer": "09a8c137967a059bb84e2633094f6b90d8bbdc03b6f93721c620df866a50e9e9",
+    "kummer": "3e82c82a6ed7efe75c6e38f4167a5a43c26116f45431dd49de0760d76d9bbb11",
 }
 
 

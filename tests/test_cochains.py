@@ -9,7 +9,10 @@ from arithcs import cochains, cstheory, dataio, zmod
 from arithcs.cochains import (
     Cochain,
     Coboundary,
+    _differential_matrix,
     _factored_differential,
+    _generating_set,
+    _generator_rows,
     _row_scales,
     _scaled,
     _scaled_differential,
@@ -32,6 +35,7 @@ from arithcs.groups import (
     direct_product,
     identity_hom,
     klein_four,
+    make_group,
     make_hom,
     quaternion8,
     s3_sign_hom,
@@ -39,7 +43,7 @@ from arithcs.groups import (
     trivial_hom,
 )
 from arithcs.ops import carry_cocycle
-from arithcs.zmod import Factorization, ModuleOverZn, solve_linear
+from arithcs.zmod import Factorization, ModuleOverZn, factorize, solve_linear
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -48,6 +52,17 @@ Z4 = cyclic(4)
 
 def triv(group, n):
     return GModuleAction.trivial(group, ModuleOverZn.cyclic(n))
+
+
+def full_scaled_differential(coeffs, degree):
+    """Every row of the scaled d, the system that its generator rows stand for."""
+    rows = coeffs.group.order ** (degree + 1)
+    return _differential_matrix(coeffs, degree) * _row_scales(coeffs, rows)[:, None] % coeffs.modulus
+
+
+def full_scaled(f):
+    """f's values on every tuple, scaled as the rows of ``full_scaled_differential``."""
+    return f.values.reshape(-1) * _row_scales(f.coeffs, f.values.shape[0]) % f.coeffs.modulus
 
 
 def small_corpus():
@@ -106,15 +121,16 @@ def rank_two_action(n, block):
     ids=lambda c: f"|G|={c.group.order},M={c.module.orders}",
 )
 def test_matrix_agrees_with_gather(coeffs):
-    n = coeffs.modulus
+    # the full build against the gather, and the cached build is its generator rows
+    n, r = coeffs.modulus, coeffs.module.rank
     rng = np.random.default_rng(coeffs.group.order)
     for degree in range(0, 3):
-        a = _scaled_differential(coeffs, degree)
-        scales = _row_scales(coeffs, degree + 1)
+        full = full_scaled_differential(coeffs, degree)
+        rows = _generator_rows(coeffs.group, degree + 1)
+        assert np.array_equal(_scaled_differential(coeffs, degree), full[(rows[:, None] * r + np.arange(r)).ravel()])
         for _ in range(5):
             f = Cochain.random(coeffs, degree, rng)
-            gathered = scales * differential(f).values.reshape(-1)
-            assert np.array_equal((a @ f.values.reshape(-1)) % n, gathered % n)
+            assert np.array_equal((full @ f.values.reshape(-1)) % n, full_scaled(differential(f)))
 
 
 def test_call_rejects_elements_outside_the_group():
@@ -515,13 +531,54 @@ def test_cached_solve_equals_dense_solve_linear(case, degree, coboundary, seed):
     got = solve_differential(case, degree, target)
     n = case.modulus
     assert _factored_differential(case, degree).h.dtype == (np.uint8 if n <= 256 else np.uint16)
-    want = solve_linear(_scaled_differential(case, degree), _scaled(target), n)
+    # the generator-row solve must equal the canonical solve of the full system
+    want = solve_linear(full_scaled_differential(case, degree), full_scaled(target), n)
     assert (got is None) == (want is None)
     if coboundary:
         assert got is not None and differential(got) == target
+        assert classify(target) == Coboundary(got)
     if got is not None:
         assert got.values.dtype == np.int64
         assert got.values.tobytes() == Cochain(case, degree, want.particular).values.tobytes()
+
+
+def test_solve_differential_refuses_a_non_cocycle_that_matches_on_generator_rows():
+    # one entry of a coboundary flipped at (2, 1): the generator rows of Z/4,
+    # those with first entry 1, still agree with it
+    coeffs = triv(Z4, 4)
+    assert _generating_set(Z4) == (1,)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        values = differential(Cochain.random(coeffs, 1, rng)).values.copy()
+        values[2 * 4 + 1] += 1
+        target = Cochain(coeffs, 2, values)
+        rows = _generator_rows(Z4, 2)
+        assert _factored_differential(coeffs, 1).solve(_scaled(target, rows)) is not None
+        assert solve_differential(coeffs, 1, target) is None
+        assert isinstance(classify(target), NonCocycle)
+
+
+def test_generating_sets():
+    q8 = quaternion8()
+    assert _generating_set(make_group([[0]])) == (0,)
+    assert _generating_set(cyclic(5)) == (1,)
+    assert _generating_set(q8) == (1, 2)
+    assert _generating_set(direct_product(q8, Z3)) == (1, 3, 6)
+    assert _generating_set(klein_four()) == (1, 2)
+    assert _generating_set(symmetric3()) == (1, 2)
+    # the trivial group's d keeps all its rows
+    assert _generator_rows(make_group([[0]]), 3).tolist() == [0]
+    assert _generator_rows(q8, 2).tolist() == list(range(8, 24))
+
+
+def test_generator_row_kernels_equal_full_kernels():
+    # k is the Howell form of Z^i, so equal bytes mean equal row spaces
+    for coeffs, degree, _ in sweep():
+        rows = len(_generator_rows(coeffs.group, degree + 1)) * coeffs.module.rank
+        assert _scaled_differential(coeffs, degree).shape[0] == rows
+        full = factorize(full_scaled_differential(coeffs, degree), coeffs.modulus).k
+        got = _factored_differential(coeffs, degree).k
+        assert got.shape == full.shape and got.tobytes() == full.tobytes()
 
 
 def test_cohomology_and_solves_factor_each_differential_once(monkeypatch):

@@ -162,6 +162,18 @@ def test_local_invariant_linearity():
     assert local_invariant(x, p).numerator == 2
 
 
+def test_local_invariant_refuses_a_generator_that_is_not_a_cocycle():
+    # the solve reads only the generator rows, which decide it for cocycles alone
+    z4 = cyclic(4)
+    rng = np.random.default_rng(4)
+    coeffs = scalar_coefficients(z4, 2)
+    gen = Cochain.random(coeffs, 2, rng)
+    assert not differential(gen).is_zero()
+    place = PlaceDatum(z4, identity_hom(z4), (0,), gen, 1)
+    with pytest.raises(ValueError, match="generator is not a cocycle"):
+        local_invariant(differential(Cochain.random(coeffs, 1, rng)), place)
+
+
 def test_local_invariant_rejects_outside_summand():
     # Klein four group: H^2 is (Z/2)^3; a single declared generator cannot
     # absorb every class

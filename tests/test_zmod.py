@@ -232,6 +232,31 @@ def test_solve_matches_exhaustive_search(n):
         assert spanned == all_solutions
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12, 36, 300])
+def test_solutions_do_not_depend_on_the_order_of_the_rows(n):
+    # another elimination order (the rows of a permuted, so the columns of
+    # a.T) must give the same canonical particular solution and kernel basis
+    rng = np.random.default_rng(7000 + n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for _ in range(120):
+        rows, cols = (int(x) for x in rng.integers(1, 9, size=2))
+        if rng.random() < 0.5:
+            # entries times divisors of n, so that zero divisors are common
+            a = rng.integers(0, n, size=(rows, cols)) * rng.choice(divisors, size=(rows, cols))
+        else:
+            # low rank, so that the kernel is large
+            rank = int(rng.integers(1, min(rows, cols) + 1))
+            a = rng.integers(0, n, size=(rows, rank)) @ rng.integers(0, n, size=(rank, cols))
+        b = a @ rng.integers(0, n, size=cols) if rng.random() < 0.7 else rng.integers(0, n, size=rows)
+        perm = rng.permutation(rows)
+        want, got = solve_linear(a, b, n), solve_linear(a[perm], b[perm], n)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.particular.tobytes() == want.particular.tobytes()
+            assert got.kernel_basis.shape == want.kernel_basis.shape
+            assert got.kernel_basis.tobytes() == want.kernel_basis.tobytes()
+
+
 def brute_vectors(rows: np.ndarray, n: int, width: int) -> set:
     out = set()
     for coeffs in itertools.product(range(n), repeat=rows.shape[0]):
@@ -524,10 +549,10 @@ def test_lattice_basis_and_coordinates(n):
 
 
 # ---------------------------------------------------------------------------
-# Reference copy of ``Factorization.solve`` by back-substitution against h,
-# the path every modulus took before Z/2 solves read packed words.  Over Z/2
-# the packed solve must give the same None-ness and the same particular
-# bytes.
+# Reference copy of ``Factorization.solve`` by back-substitution against h
+# and then against k, the path every modulus other than 2 takes.  Over Z/2
+# the packed solve, with the reduction against k folded into its u, must
+# give the same None-ness and the same particular bytes.
 
 
 def reference_back_substitute(h: np.ndarray, vecs: np.ndarray, n: int):
@@ -549,7 +574,7 @@ def reference_solve(f, b):
     coeff, rem = reference_back_substitute(f.h, b[None, :], n)
     if rem.any():
         return None
-    return coeff[0] @ f.u % n
+    return reference_back_substitute(f.k, coeff @ f.u, n)[1][0]
 
 
 def assert_same_solution(f, b):
