@@ -1,8 +1,13 @@
 """Inhomogeneous cochain complexes C^i(G, M) with dense lexicographic tables.
 
-A degree-i cochain stores one module value per tuple (g_1, ..., g_i), flattened
-in lexicographic order with g_1 most significant.  The differential is the
-signed one:
+A degree-i cochain stores one module value per tuple (g_1, ..., g_i).  Every
+operation indexes those tuples one way, on the tensor view of shape
+(|G|,) * i + (rank M,), with axis k - 1 holding g_k: faces, cups,
+conjugations, pullbacks and homotopies are gathers along its axes.  The flat
+(|G|^i, rank M) table, whose row is the index of a tuple in lexicographic
+order with g_1 most significant, is that tensor's C-order ravel; the rows of
+the matrix of d are numbered the same way.  The differential is the signed
+one:
 
     df(g_1, ..., g_{i+1}) = g_1 f(g_2, ..., g_{i+1})
         + sum_{k=1}^{i} (-1)^k f(g_1, ..., g_k g_{k+1}, ..., g_{i+1})
@@ -27,6 +32,7 @@ from .zmod import (
     Factorization,
     _back_substitute,
     _element,
+    _elements,
     _freeze,
     diagonalize_mod,
     factorize,
@@ -42,50 +48,6 @@ class DegreeBoundError(ComputationError):
     """Raised when an operation would exceed the configured degree cap."""
 
 
-@functools.lru_cache(maxsize=None)
-def _digits(m: int, i: int) -> tuple[np.ndarray, ...]:
-    """Digit arrays of all m-ary tuples of length i, lexicographic order."""
-    count = m**i
-    ar = np.arange(count, dtype=np.int64)
-    return tuple((ar // m ** (i - 1 - j)) % m for j in range(i))
-
-
-def _encode(parts, m: int, count: int) -> np.ndarray:
-    """Flat index of tuples given per-position digit arrays (or constants)."""
-    idx = np.zeros(count, dtype=np.int64)
-    for p in parts:
-        idx *= m
-        idx += p
-    return idx
-
-
-def _faces(group: FiniteGroup, i: int, rows: np.ndarray | None = None):
-    """Yield (sign, index) for each of the i+2 faces of d: C^i -> C^{i+1}.
-
-    ``index[t]`` is the flat C^i index that the face reads for the (i+1)-tuple
-    t, or for the t-th of the flat (i+1)-tuple indices ``rows`` when given.
-    Face 0 comes first, and its values must still be acted on by the first
-    digit of t.  Each index is built only when the next face is requested.
-    """
-    m = group.order
-    digits = _digits(m, i + 1)
-    if rows is not None:
-        digits = tuple(d[rows] for d in digits)
-    count = digits[0].size
-    yield 1, _encode(digits[1:], m, count)
-    for k in range(1, i + 1):
-        parts = itertools.chain(digits[: k - 1], [group.mul[digits[k - 1], digits[k]]], digits[k + 1 :])
-        yield (-1) ** k, _encode(parts, m, count)
-    yield (-1) ** (i + 1), _encode(digits[:i], m, count)
-
-
-def decode_index(idx: int, m: int, i: int) -> tuple[int, ...]:
-    out = []
-    for j in range(i):
-        out.append((idx // m ** (i - 1 - j)) % m)
-    return tuple(out)
-
-
 class Cochain:
     """A map G^i -> M as a dense (|G|^i, rank M) table, immutable."""
 
@@ -98,7 +60,7 @@ class Cochain:
         m = coeffs.group.order
         r = coeffs.module.rank
         # reshape before reducing: a flat vector of a rank-r module reduces per column
-        vals = coeffs.module.reduce(np.asarray(values, dtype=np.int64).reshape(m**degree, r))
+        vals = coeffs.module.reduce(_elements(values, "cochain value").reshape(m**degree, r))
         self.coeffs = coeffs
         self.degree = degree
         self.values = _freeze(vals)
@@ -115,12 +77,11 @@ class Cochain:
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments")
         m = self.group.order
-        idx = 0
-        for g in map(_element, args):
+        args = tuple(map(_element, args))
+        for g in args:
             if not 0 <= g < m:
                 raise ValueError(f"element {g} is outside [0, {m})")
-            idx = idx * m + g
-        return self.values[idx]
+        return _tensor(self)[args]
 
     def __eq__(self, other):
         return (
@@ -164,11 +125,9 @@ class Cochain:
 
     @classmethod
     def from_function(cls, coeffs: GModuleAction, degree: int, fn) -> "Cochain":
-        m, r = coeffs.group.order, coeffs.module.rank
-        vals = np.zeros((m**degree, r), dtype=np.int64)
-        for idx in range(m**degree):
-            vals[idx] = np.asarray(fn(*decode_index(idx, m, degree)), dtype=np.int64).reshape(r)
-        return cls(coeffs, degree, vals)
+        """The cochain with value fn(g_1, ..., g_degree), each value read strictly."""
+        tuples = itertools.product(range(coeffs.group.order), repeat=degree)
+        return cls(coeffs, degree, [fn(*t) for t in tuples])
 
     @classmethod
     def random(cls, coeffs: GModuleAction, degree: int, rng: np.random.Generator) -> "Cochain":
@@ -183,14 +142,27 @@ def _tensor(f: Cochain) -> np.ndarray:
     return f.values.reshape((f.group.order,) * f.degree + (f.module.rank,))
 
 
+def _faces(t: np.ndarray, i: int, mul: np.ndarray):
+    """Yield (sign, face) for the faces 1, ..., i + 1 of d: C^i -> C^(i+1).
+
+    The first i axes of ``t`` are the group axes g_1, ..., g_i.  Face k <= i
+    reads t at g_k g_{k+1} in place of g_k: ``np.take(t, mul, axis=k - 1)``,
+    whose first i + 1 axes are g_1, ..., g_{i+1}.  Face i + 1 ignores g_{i+1}:
+    it is t with a new length-1 axis i, for the caller to broadcast.  Face 0
+    needs the action and stays with the caller.  Each face is built only when
+    the next one is requested.
+    """
+    for k in range(1, i + 1):
+        yield (-1) ** k, np.take(t, mul, axis=k - 1)
+    yield (-1) ** (i + 1), np.expand_dims(t, i)
+
+
 def _coboundary(f: Cochain) -> np.ndarray:
     """df as an unreduced int64 array of shape (|G|,) * (i + 1) + (rank M,).
 
-    Each face is a view or one gather of f's tensor, never a table of flat
-    indices: face 0 broadcasts f over the new first axis (acted on by g_1
-    through one einsum unless the action is trivial), the middle face k
-    takes f along axis k - 1 at mul[g_k, g_{k+1}], and the last face
-    broadcasts f over the new last axis.
+    Each face is a view or one gather of f's tensor: face 0 broadcasts f over
+    the new first axis (acted on by g_1 through one einsum unless the action
+    is trivial), and ``_faces`` gives the others.
     """
     i, mul = f.degree, f.group.mul
     values = _tensor(f)
@@ -198,17 +170,12 @@ def _coboundary(f: Cochain) -> np.ndarray:
         acc = np.broadcast_to(values, (mul.shape[0],) + values.shape).copy()
     else:
         acc = np.einsum("guv,...v->g...u", f.coeffs.matrices, values)
-    for k in range(1, i + 1):
-        face = np.take(values, mul, axis=k - 1)
-        if k % 2:
-            acc -= face
-        else:
+    for sign, face in _faces(values, i, mul):
+        if sign > 0:
             acc += face
+        else:
+            acc -= face
         del face  # free this face before the next one is built
-    if i % 2:
-        acc += values[..., None, :]
-    else:
-        acc -= values[..., None, :]
     return acc
 
 
@@ -239,8 +206,13 @@ def _differential_matrix(coeffs: GModuleAction, i: int, rows: np.ndarray | None 
     """Matrix of d: C^i -> C^{i+1} on flattened coordinates, entries in [0, n).
 
     With ``rows``, an array of flat (i+1)-tuple indices, only those tuples'
-    rows are built, in that order.  Uncached, like ``_scaled_differential``:
-    only factorizations of d are kept.
+    rows are built, in that order.  The column blocks of a row are the flat
+    i-tuple indices its faces read: ``_faces`` of the index tensor
+    ``arange(|G|^i)`` shaped (|G|,) * i, broadcast to (|G|,) * (i + 1),
+    raveled and taken at the rows.  Face 0 reads the tail of the row's tuple,
+    ``rows % |G|^i``, acted on by its first entry ``rows // |G|^i``.
+    Uncached, like ``_scaled_differential``: only factorizations of d are
+    kept.
     """
     m = coeffs.group.order
     r = coeffs.module.rank
@@ -248,13 +220,13 @@ def _differential_matrix(coeffs: GModuleAction, i: int, rows: np.ndarray | None 
     count = tuples.size
     out = np.zeros((count, r, m**i, r), dtype=np.int64)
     block = np.arange(count)
-    faces = _faces(coeffs.group, i, rows)
-    out[block, :, next(faces)[1], :] = coeffs.matrices[tuples // m**i]
+    first, tail = np.divmod(tuples, m**i)
+    out[block, :, tail, :] = coeffs.matrices[first]
     eye = np.eye(r, dtype=np.int64)
+    index = np.arange(m**i, dtype=np.int64).reshape((m,) * i)
     # within one face each row has one column block, so += never collides
-    for sign, idx in faces:
-        out[block, :, idx, :] += sign * eye
-        del idx
+    for sign, face in _faces(index, i, coeffs.group.mul):
+        out[block, :, np.broadcast_to(face, (m,) * (i + 1)).ravel()[tuples], :] += sign * eye
     out %= coeffs.modulus
     return out.reshape(count * r, m**i * r)
 
@@ -301,9 +273,8 @@ def _generating_set(group: FiniteGroup) -> tuple[int, ...]:
 def _generator_rows(group: FiniteGroup, degree: int) -> np.ndarray:
     """Flat indices of the degree-tuples whose first entry lies in
     ``_generating_set(group)``, in increasing order."""
-    block = group.order ** (degree - 1)
-    first = np.array(_generating_set(group), dtype=np.int64)
-    return _freeze((first[:, None] * block + np.arange(block)).ravel())
+    index = np.arange(group.order**degree, dtype=np.int64).reshape(group.order, -1)
+    return _freeze(index[list(_generating_set(group))].ravel())
 
 
 # maxsize=0 caches nothing; it keeps cache_info(), whose misses perfbench's tracer counts as dense builds
@@ -441,8 +412,8 @@ def classify(f: Cochain) -> Classification:
     """Total classification of a cochain: non-cocycle, coboundary, or class."""
     df = differential(f)
     if not df.is_zero():
-        flat = int(np.flatnonzero(df.values.any(axis=1))[0])
-        return NonCocycle(decode_index(flat, f.group.order, f.degree + 1))
+        bad = _tensor(df).any(axis=-1)
+        return NonCocycle(tuple(int(g) for g in np.unravel_index(np.flatnonzero(bad)[0], bad.shape)))
     if f.degree == 0:
         if f.is_zero():
             return Coboundary(None)
@@ -546,7 +517,7 @@ def normalized_representative(f: Cochain) -> Cochain:
     if i == 0:
         return f
     # only the rows of d^(i-1) at the i-tuples with the identity in some position
-    degenerate = np.flatnonzero((np.stack(_digits(f.group.order, i)) == 0).any(axis=0))
+    degenerate = np.flatnonzero((np.indices((f.group.order,) * i) == 0).any(axis=0))
     a = _differential_matrix(f.coeffs, i - 1, degenerate)
     a *= _row_scales(f.coeffs, degenerate.size)[:, None]
     sol = solve_linear(a, _scaled(f, degenerate), f.coeffs.modulus)

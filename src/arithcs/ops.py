@@ -1,6 +1,11 @@
 """Cup products, the Bockstein map, conjugation of cochains, and the
 chain homotopies h_{a_1,...,a_k,f} for the conjugation action.
 
+Each operation is a gather or a broadcast on the tensor view of its cochains
+(``cochains._tensor``, one axis per argument g_k), the one indexing scheme
+of ``cochains``: a cup is a broadcast product, a conjugation a gather along
+every axis, and each term of a homotopy one gather of f.
+
 The homotopies are computed by the shuffle-path formula: for f of degree
 n + k and elements a_1, ..., a_k,
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochains import Cochain, DegreeBoundError, _digits, _encode, decode_index, differential
+from .cochains import Cochain, DegreeBoundError, _tensor, differential
 from .groups import GModuleAction, conjugation_hom
 from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, NotDivisibleError, _element
 
@@ -43,6 +48,11 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
     pairing by scalar multiplication: at least one factor must take values in
     Z/n with trivial action, and both must share the ambient modulus.
     Satisfies the Leibniz rule d(x cup y) = dx cup y + (-1)^p x cup dy.
+
+    The product broadcasts x's tensor over q new axes against y's.  For a
+    twisted y the prefix product g_1...g_p is a (|G|,) * p tensor of group
+    elements, built by p lookups in the multiplication table, and its action
+    on y is one broadcast matmul.
     """
     if x.group != y.group:
         raise IncompatiblePairingError("cup factors live on different groups")
@@ -56,17 +66,16 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
         raise IncompatiblePairingError(
             "no canonical pairing: neither factor is a trivially-acted Z/n scalar"
         )
-    m = x.group.order
-    p, q = x.degree, y.degree
-    count = m ** (p + q)
-    digits = _digits(m, p + q)
-    yv = y.values[_encode(digits[p:], m, count)]
+    m, p, q = x.group.order, x.degree, y.degree
+    yv = _tensor(y)
     if not y.coeffs.is_trivial():
-        prefix = np.zeros(count, dtype=np.int64)
-        for d in digits[:p]:
-            prefix = x.group.mul[prefix, d]
-        yv = np.einsum("nuv,nv->nu", y.coeffs.matrices[prefix], yv)
-    return Cochain(out_coeffs, p + q, x.values[_encode(digits[:p], m, count)] * yv)
+        prefix = np.zeros((), dtype=np.int64)  # the identity, the empty product
+        for _ in range(p):
+            prefix = x.group.mul[prefix]
+        r = y.module.rank
+        yv = (y.coeffs.matrices[prefix].reshape((m,) * p + (1,) * q + (r, r)) @ yv[..., None])[..., 0]
+    xv = _tensor(x).reshape((m,) * p + (1,) * q + (x.module.rank,))
+    return Cochain(out_coeffs, p + q, xv * yv)
 
 
 def bockstein(f: Cochain) -> Cochain:
@@ -84,12 +93,11 @@ def bockstein(f: Cochain) -> Cochain:
     lifted_coeffs = GModuleAction.trivial(f.group, ModuleOverZn.cyclic(n * n))
     lifted = Cochain(lifted_coeffs, f.degree, f.values)
     db = differential(lifted)
-    if (db.values % n).any():
-        m = f.group.order
-        bad = int(np.flatnonzero((db.values % n).any(axis=1))[0])
+    bad = (_tensor(db) % n).any(axis=-1)
+    if bad.any():
+        witness = tuple(int(g) for g in np.unravel_index(np.flatnonzero(bad)[0], bad.shape))
         raise NotDivisibleError(
-            f"d of the lift is not divisible by {n} at tuple "
-            f"{decode_index(bad, m, f.degree + 1)}; the input is not a cocycle"
+            f"d of the lift is not divisible by {n} at tuple {witness}; the input is not a cocycle"
         )
     return Cochain(f.coeffs, f.degree + 1, db.values // n)
 
@@ -97,15 +105,15 @@ def bockstein(f: Cochain) -> Cochain:
 def conjugate(f: Cochain, a: int) -> Cochain:
     """The right action f^a = a^{-1} . f(a g_1 a^{-1}, ..., a g_i a^{-1}).
 
-    Commutes with the differential and satisfies (f^a)^b = f^{ab}.
+    Commutes with the differential and satisfies (f^a)^b = f^{ab}.  One
+    gather of f's tensor at the conjugation map along every axis, as in
+    ``pullback``, then the action of a^{-1} unless it is trivial.
     """
     cmap = conjugation_hom(f.group, a).map
-    m = f.group.order
-    i = f.degree
-    vals = f.values[_encode((cmap[d] for d in _digits(m, i)), m, m**i)]
+    vals = _tensor(f)[np.ix_(*[cmap] * f.degree)]
     if not f.coeffs.is_trivial():
         vals = vals @ f.coeffs.matrices[f.group.inv(a)].T
-    return Cochain(f.coeffs, i, vals)
+    return Cochain(f.coeffs, f.degree, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +198,11 @@ def homotopy(avec, f: Cochain) -> Cochain:
     trivially on cohomology: h_{a,df} + d(h_{a,f}) = f^a - f.  For higher k
     the h's satisfy the coboundary relations tying h_{ab,f} to h_{a,f} and
     h_{b,f}.
+
+    Each path's term is one gather of f's tensor, indexed by one entry per
+    step: a vertical step's element a_{k-t}^{-1} as a scalar, and a
+    horizontal step's conjugation map reshaped onto its output axis s, so
+    the entries broadcast to the (|G|,) * (deg(f) - k) output tuples.
     """
     avec = [_element(a) for a in avec]
     k = len(avec)
@@ -203,8 +216,6 @@ def homotopy(avec, f: Cochain) -> Cochain:
     for a in avec:
         if not 0 <= a < m:
             raise ValueError(f"element {a} out of range")
-    count = m**n_out
-    digits = _digits(m, n_out)
 
     # conjugator at height t is a_{k-t+1} ... a_k (empty product at t = 0)
     conj_maps = [np.arange(m, dtype=np.int64)]
@@ -213,13 +224,14 @@ def homotopy(avec, f: Cochain) -> Cochain:
         prod = g.op(avec[k - t], prod)
         conj_maps.append(conjugation_hom(g, prod).map)
 
-    acc = np.zeros((count, f.module.rank), dtype=np.int64)
+    values = _tensor(f)
+    acc = np.zeros((m,) * n_out + (f.module.rank,), dtype=np.int64)
     for path in shuffle_paths(n_out, k):
-        parts = (
-            g.inv(avec[k - t - 1]) if kind == "v" else conj_maps[t][digits[s]]
+        index = tuple(
+            g.inv(avec[k - t - 1]) if kind == "v" else conj_maps[t].reshape((m,) + (1,) * (n_out - 1 - s))
             for kind, s, t in path.segments()
         )
-        acc += path.sign * f.values[_encode(parts, m, count)]
+        acc += path.sign * values[index]
     return Cochain(f.coeffs, n_out, acc)
 
 

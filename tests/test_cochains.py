@@ -133,6 +133,51 @@ def test_matrix_agrees_with_gather(coeffs):
             assert np.array_equal((full @ f.values.reshape(-1)) % n, full_scaled(differential(f)))
 
 
+def s3_sign_shear():
+    """S3 acting on Z/2 x Z/4 through the sign, an odd element by (a, b) -> (a, b + 2a)."""
+    s3 = symmetric3()
+    shear = np.array([[[1, 0], [0, 1]], [[1, 0], [2, 1]]])
+    return GModuleAction(s3, ModuleOverZn(4, (2, 4)), shear[s3_sign_hom(s3, Z2).map])
+
+
+def scalar_differential(f, tuples):
+    """df at each of ``tuples``, evaluated one face at a time from the module docstring's formula."""
+    coeffs, i, op = f.coeffs, f.degree, f.group.op
+    out = []
+    for g in tuples:
+        total = coeffs.apply(g[0], f(*g[1:]))
+        for k in range(1, i + 1):
+            total = total + (-1) ** k * f(*g[: k - 1], op(g[k - 1], g[k]), *g[k + 1 :])
+        out.append(coeffs.module.reduce(total + (-1) ** (i + 1) * f(*g[:i])))
+    return np.array(out, dtype=np.int64).reshape(len(tuples), coeffs.module.rank)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        triv(symmetric3(), 3),
+        GModuleAction.by_character(s3_sign_hom(symmetric3(), Z2), ModuleOverZn.cyclic(4), 3),
+        s3_sign_shear(),
+    ],
+    ids=["trivial", "s3-sign", "rank-two-mixed"],
+)
+def test_differential_follows_the_face_formula(coeffs):
+    # an independent reference for the one face generator that the gather and the matrix builds share
+    m, r = coeffs.group.order, coeffs.module.rank
+    rng = np.random.default_rng(11)
+    for degree in range(4):
+        f = Cochain.random(coeffs, degree, rng)
+        tuples = list(itertools.product(range(m), repeat=degree + 1))
+        expected = scalar_differential(f, tuples)
+        assert np.array_equal(differential(f).values, expected)
+        generator = _generator_rows(coeffs.group, degree + 1)
+        degenerate = np.array([j for j, g in enumerate(tuples) if 0 in g])
+        for rows in (None, generator, degenerate):
+            d = _differential_matrix(coeffs, degree, rows)
+            got = coeffs.module.reduce((d @ f.values.ravel()).reshape(-1, r) % coeffs.modulus)
+            assert np.array_equal(got, expected if rows is None else expected[rows])
+
+
 def test_call_rejects_elements_outside_the_group():
     f = Cochain.random(triv(Z4, 4), 2, np.random.default_rng(0))
     assert f(1, 3).tolist() == f.values[1 * 4 + 3].tolist()
@@ -148,6 +193,20 @@ def test_call_reads_elements_strictly():
     for args in [(1.9, 2), (1.0, 2), (True, 2), (np.True_, 2), ("1", 2), (None, 2)]:
         with pytest.raises(ValueError, match="not an integer"):
             f(*args)
+
+
+def test_values_are_read_strictly():
+    # a float or bool value used to be truncated: [0.5, 2.7] stored [0, 2], [True, False] stored [1, 0]
+    coeffs = triv(Z2, 3)
+    assert Cochain(coeffs, 1, [np.int64(1), 2]).values.tolist() == [[1], [2]]
+    assert Cochain(coeffs, 1, np.array([1, 2], dtype=np.uint8)).values.tolist() == [[1], [2]]
+    for values in ([0.5, 2.7], [1.0, 2], [True, False], np.array([0.5, 2.7]), np.array([True, False])):
+        with pytest.raises(ValueError, match="cochain value"):
+            Cochain(coeffs, 1, values)
+    assert Cochain.from_function(coeffs, 1, lambda g: [g + 1]).values.tolist() == [[1], [2]]
+    for fn in (lambda g: [g + 0.5], lambda g: g / 1, lambda g: [g == 1], lambda g: np.array([g], dtype=float)):
+        with pytest.raises(ValueError, match="cochain value"):
+            Cochain.from_function(coeffs, 1, fn)
 
 
 def test_scalar_multiples_read_the_scalar_strictly():
@@ -206,11 +265,17 @@ def test_classify_carry_is_nontrivial():
 
 
 def test_classify_non_cocycle_with_witness():
-    f = Cochain(triv(Z2, 2), 1, [[0], [1]])
-    g = Cochain(triv(Z2, 2), 1, [[1], [1]])  # f(0) = 1 breaks the cocycle law
-    res = classify(g)
-    assert isinstance(res, NonCocycle)
-    assert len(res.witness) == 2
+    g = Cochain(triv(Z2, 2), 1, [[1], [1]])  # g(0) = 1 breaks the cocycle law
+    assert classify(g) == NonCocycle((0, 0))
+    # a cocycle bumped at (2, 3): the witness is the first tuple, in lexicographic order, where df fails
+    coeffs = s3_sign_shear()
+    bump = np.zeros((6, 6, 2), dtype=np.int64)
+    bump[2, 3, 1] = 1
+    f = differential(Cochain.random(coeffs, 1, np.random.default_rng(3))) + Cochain(coeffs, 2, bump.reshape(36, 2))
+    tuples = list(itertools.product(range(6), repeat=3))
+    first = next(t for t, v in zip(tuples, scalar_differential(f, tuples)) if v.any())
+    assert first == (1, 2, 3)
+    assert classify(f) == NonCocycle(first)
 
 
 def test_classify_degree_zero():

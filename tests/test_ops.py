@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from arithcs.cochains import (
     Cochain,
     Coboundary,
+    NonCocycle,
     _scaled_differential,
     classify,
     differential,
@@ -99,6 +102,49 @@ def test_leibniz_with_module_valued_right_factor():
         assert lhs == rhs
 
 
+def s3_sign_shear():
+    """S3 acting on Z/2 x Z/4 through the sign, an odd element by (a, b) -> (a, b + 2a)."""
+    s3 = symmetric3()
+    shear = np.array([[[1, 0], [0, 1]], [[1, 0], [2, 1]]])
+    return GModuleAction(s3, ModuleOverZn(4, (2, 4)), shear[s3_sign_hom(s3, cyclic(2)).map])
+
+
+def twisted_actions():
+    s3 = symmetric3()
+    return [
+        GModuleAction.by_character(s3_sign_hom(s3, cyclic(2)), ModuleOverZn.cyclic(4), 3),
+        s3_sign_shear(),
+        GModuleAction.by_units(cyclic(4), ModuleOverZn.cyclic(5), [1, 2, 4, 3]),  # a and a^{-1} act apart
+    ]
+
+
+TWISTED_IDS = ["s3-sign", "rank-two-mixed", "z4-units-mod-5"]
+
+
+def cup_reference(x, y, coeffs):
+    """x cup y from its defining formula, one tuple at a time."""
+    p, group = x.degree, x.group
+
+    def value(*gs):
+        prefix = functools.reduce(group.op, gs[:p], 0)
+        return x(*gs[:p]) * y.coeffs.apply(prefix, y(*gs[p:]))
+
+    return Cochain.from_function(coeffs, p + y.degree, value)
+
+
+@pytest.mark.parametrize("act", twisted_actions(), ids=TWISTED_IDS)
+def test_cup_matches_its_formula_pointwise(act):
+    # degree-0 factors on either side, and twisted right factors after a prefix of two elements
+    scalar = triv(act.group, act.modulus)
+    rng = np.random.default_rng(12)
+    for p, q in [(0, 0), (0, 2), (2, 0), (1, 1), (2, 1), (2, 2)]:
+        x = Cochain.random(scalar, p, rng)
+        y = Cochain.random(act, q, rng)
+        assert cup(x, y) == cup_reference(x, y, act)
+        # module value times scalar: the scalar factor's action is trivial
+        assert cup(y, x) == cup_reference(y, x, act)
+
+
 def test_cup_rejects_unpairable_coefficients():
     s3 = symmetric3()
     act = GModuleAction.by_character(s3_sign_hom(s3, cyclic(2)), ModuleOverZn.cyclic(4), 3)
@@ -145,6 +191,16 @@ def test_bockstein_rejects_non_cocycle():
         bockstein(f)
 
 
+def test_bockstein_names_the_first_failing_tuple():
+    carry = carry_cocycle(3)
+    f = carry + Cochain(carry.coeffs, 2, np.eye(9, dtype=np.int64)[2 * 3 + 1, :, None])  # bumped at (2, 1)
+    first = next(t for t in itertools.product(range(3), repeat=3) if differential(f)(*t).any())
+    assert first == (1, 1, 1)
+    assert classify(f) == NonCocycle(first)
+    with pytest.raises(NotDivisibleError, match=re.escape(f"at tuple {first};")):
+        bockstein(f)
+
+
 def test_bockstein_commutes_with_pullback():
     from arithcs.cochains import pullback
 
@@ -175,6 +231,20 @@ def test_conjugate_indicator_of_three_cycle():
     conj = conjugate(indicator, t)
     expected = Cochain.from_function(coeffs, 1, lambda g: [1 if g == threes[1] else 0])
     assert conj == expected
+
+
+@pytest.mark.parametrize("act", twisted_actions(), ids=TWISTED_IDS)
+def test_conjugate_matches_its_formula_pointwise(act):
+    group = act.group
+    rng = np.random.default_rng(13)
+    for degree in (0, 2):
+        f = Cochain.random(act, degree, rng)
+        for a in group.elements():
+            inv = group.inv(a)
+            expected = Cochain.from_function(
+                act, degree, lambda *gs: act.apply(inv, f(*(group.op(group.op(a, g), inv) for g in gs)))
+            )
+            assert conjugate(f, a) == expected
 
 
 def test_conjugate_is_right_action():
