@@ -36,7 +36,6 @@ from .zmod import (
     _freeze,
     diagonalize_mod,
     factorize,
-    howell_form,
     left_kernel,
     solve_linear,
 )
@@ -497,7 +496,7 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     coords, rem = _back_substitute(basis, b_rows, n)
     if rem.any():
         raise ValueError("a coboundary is not in the span of the cocycles")
-    diag, v, w = diagonalize_mod(np.vstack([coords, howell_form(left_kernel(basis, n), n)[0]]), n)
+    diag, v, w = diagonalize_mod(np.vstack([coords, left_kernel(basis, n)]), n)
     kept = [j for j, d in enumerate(diag) if d > 1]
     invariant_factors = tuple(diag[j] for j in kept)
 

@@ -23,11 +23,15 @@ never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
 from .cochains import (
     Cochain,
+    NonCocycle,
+    NontrivialClass,
+    classify,
     cohomology,
     differential,
     pullback,
@@ -37,7 +41,7 @@ from .cochains import (
     _generator_rows,
     _scaled,
 )
-from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, cyclic, make_hom
+from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, conjugation_hom, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
 from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, _check_modulus, _element, solve_linear
 
@@ -248,8 +252,6 @@ def _generates_summand(factors: tuple[int, ...], coords: tuple[int, ...], n: int
     gcd_j(coords_j * n / d_j) is coprime to n; such an f retracts onto the
     class and forces its order to be n.
     """
-    from math import gcd
-
     return gcd(n, *((c % d) * (n // d) for d, c in zip(factors, coords))) == 1
 
 
@@ -260,10 +262,6 @@ def validate_global_datum(datum: GlobalDatum) -> ValidationReport:
     every generator of H^2 of the global group: the local invariants of its
     restrictions must sum to zero.
     """
-    from math import gcd
-
-    from .cochains import NonCocycle, NontrivialClass, classify
-
     checks: list[CheckResult] = []
     n = datum.modulus
 
@@ -553,8 +551,6 @@ def invariant_section_class(datum: GlobalDatum, rho: GroupHom) -> InvariantValue
     agree, returning the common value.  A disagreement (impossible on data
     satisfying reciprocity) raises.
     """
-    from .groups import conjugation_hom
-
     values = {
         section_class(datum, conjugation_hom(datum.gauge_group, a).compose(rho))
         for a in datum.gauge_group.elements()

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochains import Cochain, DegreeBoundError, _tensor, differential
-from .groups import GModuleAction, conjugation_hom
+from .groups import GModuleAction, conjugation_hom, cyclic
 from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, NotDivisibleError, _element
 
 
@@ -171,26 +171,6 @@ def shuffle_paths(n: int, k: int):
         yield ShufflePath(n, k, tuple(steps))
 
 
-def path_term_tuple(path: ShufflePath, avec, xs, group) -> tuple[int, ...]:
-    """The (n+k)-tuple a single path feeds to f, built segment by segment.
-
-    Scalar reference for what ``homotopy`` gathers: a vertical segment
-    starting at height t yields a_{k-t}^{-1}; a horizontal one at height t
-    yields x_s conjugated by a_{k-t+1} ... a_k.
-    """
-    k = len(avec)
-    out = []
-    for kind, s, t in path.segments():
-        if kind == "v":
-            out.append(group.inv(avec[k - t - 1]))
-        else:
-            c = 0
-            for a in avec[k - t:]:
-                c = group.op(c, a)
-            out.append(group.op(group.op(c, xs[s]), group.inv(c)))
-    return tuple(out)
-
-
 def homotopy(avec, f: Cochain) -> Cochain:
     """The cochain h_{a_1,...,a_k,f} of degree deg(f) - k.
 
@@ -241,8 +221,6 @@ def homotopy(avec, f: Cochain) -> Cochain:
 
 def identity_character(n: int) -> Cochain:
     """alpha: the identity 1-cocycle on Z/n with Z/n coefficients."""
-    from .groups import cyclic
-
     coeffs = GModuleAction.trivial(cyclic(n), ModuleOverZn.cyclic(n))
     return Cochain(coeffs, 1, np.arange(n, dtype=np.int64).reshape(n, 1))
 

@@ -7,6 +7,8 @@ comparison is on-the-nose equality, never a tolerance.
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
 from .cochains import Cochain, classify, cohomology, differential, pullback
@@ -103,8 +105,6 @@ def run_checks(seed: int):
     for n in (2, 3, 4):
         h3 = cohomology(GModuleAction.trivial(cyclic(n), ModuleOverZn.cyclic(n)), 3)
         cls = classify(cyclic_three_cocycle(n))
-        from math import gcd
-
         if h3.invariant_factors != (n,) or gcd(cls.coordinates[0], n) != 1:
             ok = False
     yield "H^3(Z/n, Z/n) generated by alpha cup delta(alpha)", ok, "n = 2, 3, 4"

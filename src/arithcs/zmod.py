@@ -6,12 +6,16 @@ written once.  ``_howell_rows`` computes the row Howell form with its
 transform and left kernel; it serves ``howell_form``, ``left_kernel`` and
 ``factorize``.  Howell form is the unique canonical row form for Z/n-row
 spaces (Z/n is not a field), so it is used wherever membership in a row
-space has to be decided.  For n == 2 it eliminates on
-bit-packed rows (``_howell_rows_gf2``), for any other n on rows stored in
-the narrowest unsigned dtype that holds n - 1 (uint8 up to n = 256, uint16
-up to ``MAX_MODULUS``), updating only the columns where the pivot row is
-nonzero, in int64 (``_howell_rows_int64``); the two give equal results over
-Z/2.  Both return the form h in that dtype, the transform and kernel in int64.
+space has to be decided.  The rows of the Howell form of [mat | I] that are
+zero on mat's columns are the Howell form of the left kernel (Howell 1986;
+Storjohann and Mulders 1998), so one sweep over [mat | I] returns k in its
+final form; the rows above k are not reduced against it.  For n == 2 it
+eliminates on bit-packed rows (``_howell_rows_gf2``), for any other n on
+rows stored in the narrowest unsigned dtype that holds n - 1 (uint8 up to
+n = 256, uint16 up to ``MAX_MODULUS``), updating only the columns where the
+pivot row is nonzero, in int64 (``_howell_rows_int64``); the two give equal
+results over Z/2.  Both return the form h in that dtype, the transform and
+kernel in int64.
 
 ``factorize(a, n)`` keeps (h, u, k) of ``_howell_rows(a.T, n)`` as a
 ``Factorization``, whose k is the Howell form of the right kernel and whose
@@ -198,11 +202,13 @@ def _howell_rows(mat: np.ndarray, n: int):
     """Howell form of the row space of ``mat`` over Z/n.
 
     Returns (h, u, k): h is the Howell form without zero rows, u @ mat == h,
-    and the rows of k generate the left kernel {x : x @ mat == 0}.  h has
-    dtype ``_form_dtype(n)``, u and k are int64.  Over Z/2 the bit-packed
-    ``_howell_rows_gf2`` runs; every other modulus runs
-    ``_howell_rows_int64`` on ``_form_dtype(n)`` rows.  Both return the same
-    arrays for n == 2.
+    and k is the Howell form of the left kernel {x : x @ mat == 0}.  One
+    sweep over the columns of [mat | I] gives all three: h | u are the rows
+    with a pivot in mat's columns and k those with one in I's columns; the
+    sweep does not reduce h | u against k.  h has dtype ``_form_dtype(n)``,
+    u and k are int64.  Over Z/2 the bit-packed ``_howell_rows_gf2`` runs;
+    every other modulus runs ``_howell_rows_int64`` on ``_form_dtype(n)``
+    rows.  Both return the same arrays for n == 2.
     """
     return _howell_rows_gf2(mat) if n == 2 else _howell_rows_int64(mat, n)
 
@@ -217,10 +223,12 @@ def _howell_rows_int64(mat: np.ndarray, n: int):
 
     The working rows [mat[i] | e_i] are one array of dtype ``_form_dtype(n)``
     with spare rows for annihilators, so a row operation updates a row and
-    its transform together; h and u are the two column blocks at the end.
-    Per pivot column, each run of rows whose entry the pivot divides is
-    reduced in one batched ``_subtract``, and the gcd steps between runs are
-    two-row operations: the operations and their order of a row-by-row sweep.
+    its transform together.  The sweep runs over all ncols + nrows columns;
+    from column ncols on, where the ``top`` rows above hold h and u, it
+    reduces only the rows from ``top`` down, which end as k.  Per pivot
+    column, each run of rows whose entry the pivot divides is reduced in one
+    batched ``_subtract``, and the gcd steps between runs are two-row
+    operations: the operations and their order of a row-by-row sweep.
     """
     nrows, ncols = mat.shape
     work = np.zeros((nrows, ncols + nrows), dtype=_form_dtype(n))
@@ -229,8 +237,10 @@ def _howell_rows_int64(mat: np.ndarray, n: int):
     for i in range(0, nrows, step):
         work[i : i + step, :ncols] = mat[i : i + step] % n
     work[np.arange(nrows), ncols + np.arange(nrows)] = 1
-    live, r = nrows, 0
-    for c in range(ncols):
+    live, r, top = nrows, 0, 0
+    for c in range(ncols + nrows):
+        if c == ncols:
+            top = r
         vals = work[r:live, c].astype(np.int64)
         nz = np.flatnonzero(vals)
         if nz.size == 0:
@@ -249,16 +259,16 @@ def _howell_rows_int64(mat: np.ndarray, n: int):
         u = unit_lift(a, n)
         if u != 1:
             work[r, c:] = u * work[r, c:].astype(np.int64) % n
-        q = work[:r, c].astype(np.int64) // int(work[r, c])
-        _subtract(work, np.flatnonzero(q), q[q != 0], r, c, n)
+        q = work[top:r, c].astype(np.int64) // int(work[r, c])
+        _subtract(work, top + np.flatnonzero(q), q[q != 0], r, c, n)
         if t := annihilator(int(work[r, c]), n):
             if live == len(work):
                 work = np.concatenate([work, np.zeros_like(work[: live // 2 + 1])])
             work[live, c:] = t * work[r, c:].astype(np.int64) % n
             live += 1
         r += 1
-    k = work[r:live, ncols:]
-    return work[:r, :ncols].copy(), work[:r, ncols:].astype(np.int64), k[k.any(axis=1)].astype(np.int64)
+    h, u, k = work[:top, :ncols], work[:top, ncols:], work[top:r, ncols:]
+    return h.copy(), u.astype(np.int64), k.astype(np.int64)
 
 
 def _subtract(work: np.ndarray, rows: np.ndarray, q: np.ndarray, r: int, c: int, n: int):
@@ -277,13 +287,17 @@ def _subtract(work: np.ndarray, rows: np.ndarray, q: np.ndarray, r: int, c: int,
 
 
 def _pack(bits: np.ndarray, width: int) -> np.ndarray:
-    """Rows of ``bits`` mod 2 as little-endian uint64 words: bit c in word c // 64."""
+    """Rows of ``bits`` mod 2 as little-endian uint64 words: bit c in word c // 64.
+
+    The words hold ``width`` >= bits.shape[1] bits per row; the bits past
+    bits.shape[1] are zero.
+    """
     words = np.zeros((bits.shape[0], -(-width // 64) * 8), dtype=np.uint8)
     # pack a few rows at a time, so that ``& 1`` never copies the whole matrix
     step = max(1, (1 << 18) // max(width, 1))
     for i in range(0, bits.shape[0], step):
         chunk = np.ascontiguousarray(bits[i : i + step] & 1, dtype=np.uint8)
-        words[i : i + step, : -(-width // 8)] = np.packbits(chunk, axis=1, bitorder="little")
+        words[i : i + step, : -(-bits.shape[1] // 8)] = np.packbits(chunk, axis=1, bitorder="little")
     return words.view("<u8")
 
 
@@ -299,41 +313,42 @@ def _howell_rows_gf2(mat: np.ndarray):
     scaling and annihilator rows never fire: each pivot column is one row
     swap plus XORs of the pivot row into every other row with a 1 there, the
     same operations in the same order.  Columns are cleared one pivot at a
-    time on packed words; no Four-Russians tables are built.  The matrix
-    block and the transform block are packed apart, so the [mat | I] rows
-    are never built.  The pivot row is zero left of its pivot, so its XOR
-    into the matrix block starts at the pivot's word.
+    time on the packed [mat | I] rows, mat in the first words and I in the
+    rest; no Four-Russians tables are built.  The pivot row is zero left of
+    its pivot, so its XOR starts at the pivot's word.  In I's words the hits
+    are searched from row ``top`` down, so h | u is not reduced against k.
     """
     nrows, ncols = mat.shape
-    a = _pack(mat, ncols)
-    t = np.zeros((nrows, -(-nrows // 64)), dtype="<u8")
+    split = -(-ncols // 64)
+    work = _pack(mat, 64 * split + nrows)
     i = np.arange(nrows)
-    t[i, i >> 6] = np.uint64(1) << (i & 63).astype(np.uint64)
-    r = 0
-    for w in range(a.shape[1]):
+    work[i, split + (i >> 6)] = np.uint64(1) << (i & 63).astype(np.uint64)
+    r = top = 0
+    for w in range(work.shape[1]):
+        if w == split:
+            top = r
         done = 0  # the columns of word w below bit ``done`` are finished
         while r < nrows:
             # the next pivot column is the lowest bit at or above ``done``
             # set in some row at or below r
-            live = int(np.bitwise_or.reduce(a[r:, w])) >> done << done
+            live = int(np.bitwise_or.reduce(work[r:, w])) >> done << done
             if not live:
                 break
             bit = (live & -live).bit_length() - 1
-            hits = np.flatnonzero(a[:, w] & np.uint64(1 << bit))
+            hits = top + np.flatnonzero(work[top:, w] & np.uint64(1 << bit))
             p = int(hits[np.searchsorted(hits, r)])
             if p != r:
-                a[[r, p]] = a[[p, r]]
-                t[[r, p]] = t[[p, r]]
+                work[[r, p]] = work[[p, r]]
             # p is the first hit at or below r, so row r had a 1 here only if
             # p == r: either way the rows to clear are the hits other than p
             others = hits[hits != p]
             if others.size:
-                a[others, w:] ^= a[r, w:]
-                t[others] ^= t[r]
+                work[others, w:] ^= work[r, w:]
             r += 1
             done = bit + 1
-    # t stays invertible, so none of its rows below r is zero
-    return _unpack(a[:r], ncols, _form_dtype(2)), _unpack(t[:r], nrows), _unpack(t[r:], nrows)
+    # [mat | I] has full rank, so every row ends as a pivot row
+    h, u, k = work[:top, :split], work[:top, split:], work[top:, split:]
+    return _unpack(h, ncols, _form_dtype(2)), _unpack(u, nrows), _unpack(k, nrows)
 
 
 def howell_form(a, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +362,7 @@ def howell_form(a, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def left_kernel(a, n: int) -> np.ndarray:
-    """Rows generating {x : x @ a == 0} over Z/n."""
+    """The Howell form of {x : x @ a == 0} over Z/n."""
     return _howell_rows(*_matrix(a, n))[2]
 
 
@@ -395,13 +410,14 @@ class Factorization:
     """(h, u, k) of ``_howell_rows(a.T, n)``: a factored once, for many solves.
 
     h is the Howell form of a's column space in dtype ``_form_dtype(n)``,
-    u @ a.T == h, and k is the Howell form (int64) of the row space of the k
-    it is given, which for ``factorize`` is the right kernel of a.  So k
-    depends on that row space alone, whichever rows generated it.  The
-    arrays are read-only, so one value can be shared by every caller.  Over
-    Z/2 the first ``solve`` also keeps h and u packed into uint64 words
-    (``_packed``), so a factorization that is never solved holds no second
-    copy of them.
+    u @ a.T == h, and k (int64) is the Howell form of the right kernel of a,
+    as the one sweep of ``_howell_rows`` returns it.  So k depends on that
+    kernel alone, whichever rows of a generated it.  The constructor only
+    makes the arrays read-only, so one value can be shared by every caller.
+    h and u are not reduced against k, so ``solve`` reduces its solution
+    against k.  Over Z/2 the first ``solve`` instead folds k into u while
+    packing h and u into uint64 words (``_packed``), so a factorization that
+    is never solved holds no second copy of them.
     """
 
     h: np.ndarray
@@ -410,7 +426,6 @@ class Factorization:
     modulus: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _howell_rows(self.k, self.modulus)[0].astype(np.int64))
         for a in (self.h, self.u, self.k):
             _freeze(a)
 

@@ -34,6 +34,8 @@ from arithcs.zmod import (
     ModuleOverZn,
     _back_substitute,
     _howell_rows,
+    _howell_rows_gf2,
+    _howell_rows_int64,
     diagonalize_mod,
     howell_form,
     solve_linear,
@@ -76,16 +78,16 @@ def random_matrices(n: int, count: int, seed: int):
 
 
 HOWELL = {
-    2: "eea8e86f1d842bdb8c19b398371490d48e672f4cd95cdbf3621aa67cbee4134f",
-    3: "ccbf532ae3b80cf6b96938ed57305060114b763f07319e32b0dee1542f753469",
-    4: "1b3dbecaf229942fd760d02f8fd2aead31b6071a358b19464dd7e593faed8f72",
-    6: "8277f80ab5e155036bc4a241a86e5f3956e77e66d5675111d0cb9032ae92936d",
-    8: "aacf0edba1a7cb190ea51b74c0ae3a2b97f23ac503d0b7f8c86634c1233a403b",
-    9: "5b95ad9fa03933ea6d82addf2b2654f97270fc8be6859814143e818a9bf947e9",
-    12: "27a825e1407812b48901e735576763d567f0365a9da5528a264ea78b86b56c84",
-    30: "f8dc6d82eb687e3c0a62862ab4e5a070290bbd813c13023378c89ffb9edcad33",
-    64: "b7626c54c24e079d75f53b90ecd0778b81730f55815f14b914291d1aeaadeb2c",
-    65536: "c2d147d82aeed94d1b831f9a8f96c239fdc29e29ece11fa77732311d8fff8a6b",
+    2: "401623f94dfca74581658b902dbba6e0206817a5d8776e3206f503cb900629d5",
+    3: "dd0cb180084273d5c43cf66f7c105be18b28ea42f361de16851ce9ddfe140e3b",
+    4: "df29778b09a31f97ac45eef86e406290f602f886804c632f0050b7c523ad4041",
+    6: "b7cd9d80db750a0baf1f37ed4e0550003b518cc322e479c639f689772b850d5c",
+    8: "6cf7968c25687b7fc44f299a3122d9e174ca7bacb5f13aca629ae064220c68c9",
+    9: "4dafd29e307de241bbbb461f37f0a020f07c8e1a59ffc884cf2ea81b3e284949",
+    12: "9441fd1abf1ddb023335d103a1dbc457d2dafa1cb0d6e3c5cec43bde6d638b33",
+    30: "727bc559288fb0fe2f47dd85fbf322b6a2d3b81f20028dcd7a2f383dd7582ecd",
+    64: "84ee9c95ce006e31e1ca081509685bfed8ea3e8c05d4f326d0e8aedcb7abacfc",
+    65536: "4eec73714a3ffd73e1ee96a19ba74516632e841ae688e6ae22c77523b800dddb",
 }
 
 
@@ -102,6 +104,21 @@ def test_howell_rows_digest(n):
         nonunit_pivots += sum(gcd(int(row[row != 0][0]), n) > 1 for row in h)
     assert nonunit_pivots or n in (2, 3)
     assert d.hexdigest() == HOWELL[n]
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_howell_rows_returns_the_kernel_in_howell_form(n):
+    # the sweep runs on through the identity block of [mat | I], so k is
+    # already the Howell form of the left kernel: eliminating it again is a no-op
+    engines = [lambda mat: _howell_rows(mat, n)]
+    if n == 2:
+        engines = [_howell_rows_gf2, lambda mat: _howell_rows_int64(mat, 2)]
+    for engine in engines:
+        for mat in random_matrices(n, 60, seed=2000 + n):
+            k = engine(mat)[2]
+            assert k.dtype == np.int64 and not (k @ mat % n).any()
+            again = _howell_rows(k, n)[0].astype(np.int64)
+            assert again.shape == k.shape and again.tobytes() == k.tobytes()
 
 
 DIAGONAL = {

@@ -43,7 +43,7 @@ from arithcs.groups import (
     trivial_hom,
 )
 from arithcs.ops import carry_cocycle
-from arithcs.zmod import Factorization, ModuleOverZn, factorize, solve_linear
+from arithcs.zmod import ModuleOverZn, factorize, solve_linear
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -433,7 +433,7 @@ def test_coordinates_refuse_non_cocycles():
 
 
 def test_cohomology_depends_on_row_spaces_alone(monkeypatch):
-    # another generating set of the same Z^i: permuted rows, one row times a
+    # another generating set of the rows of d: permuted rows, one row times a
     # unit, and one more row that is a combination of the others
     rng = np.random.default_rng(12)
     cases = [
@@ -443,23 +443,27 @@ def test_cohomology_depends_on_row_spaces_alone(monkeypatch):
         (triv(cyclic(6), 6), 2),
         (triv(klein_four(), 2), 2),
     ]
-    factored = cochains._factored_differential
+    scaled = cochains._scaled_differential
     for coeffs, degree in cases:
+        _factored_differential.cache_clear()
         cohomology.cache_clear()
-        want = cohomology(coeffs, degree)
-        f, n = factored(coeffs, degree), coeffs.modulus
-        k = f.k[rng.permutation(len(f.k))]
-        k[0] = k[0] * (n - 1) % n
-        k = np.vstack([k, rng.integers(0, n, size=len(k)) @ k % n])
-        other = Factorization(f.h, f.u, k, n)
-        monkeypatch.setattr(cochains, "_factored_differential", lambda c, i: other if (c, i) == (coeffs, degree) else factored(c, i))
+        want, want_k = cohomology(coeffs, degree), _factored_differential(coeffs, degree).k
+        d, n = scaled(coeffs, degree), coeffs.modulus
+        other = d[rng.permutation(len(d))]
+        other[0] = other[0] * (n - 1) % n
+        other = np.vstack([other, rng.integers(0, n, size=len(other)) @ other % n])
+        monkeypatch.setattr(cochains, "_scaled_differential", lambda c, i: other if (c, i) == (coeffs, degree) else scaled(c, i))
+        _factored_differential.cache_clear()
         cohomology.cache_clear()
-        got = cohomology(coeffs, degree)
+        got, factored = cohomology(coeffs, degree), _factored_differential(coeffs, degree)
         monkeypatch.undo()
+        # h has one column per row of the d it factored
+        assert factored.h.shape[1] == len(other) == len(d) + 1
         assert got.invariant_factors == want.invariant_factors
         assert [g.values.tobytes() for g in got.generators] == [g.values.tobytes() for g in want.generators]
-        for a, b in [(got.basis, want.basis), (got.transform, want.transform)]:
+        for a, b in [(factored.k, want_k), (got.basis, want.basis), (got.transform, want.transform)]:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    _factored_differential.cache_clear()
     cohomology.cache_clear()
 
 
@@ -665,6 +669,31 @@ def test_cohomology_and_solves_factor_each_differential_once(monkeypatch):
         target = differential(Cochain.random(coeffs, 2, rng))
         assert differential(solve_differential(coeffs, 2, target)) == target
     assert shapes.count(d2.T.shape) == 1
+
+
+def test_each_factorization_eliminates_once(monkeypatch):
+    # a cold cohomology eliminates d^T and its Howell rows hZ, whose left
+    # kernel comes out of that one sweep already in Howell form
+    coeffs = triv(quaternion8(), 4)
+    d3 = _scaled_differential(coeffs, 3)
+    _factored_differential.cache_clear()
+    cohomology.cache_clear()
+    shapes = []
+    howell_rows = zmod._howell_rows
+
+    def counting(mat, n):
+        shapes.append(mat.shape)
+        return howell_rows(mat, n)
+
+    monkeypatch.setattr(zmod, "_howell_rows", counting)
+    h = cohomology(coeffs, 3)
+    assert shapes == [d3.T.shape, h.basis.shape]
+    shapes.clear()
+    assert solve_linear(d3, d3 @ np.arange(d3.shape[1]) % 4, 4) is not None
+    assert shapes == [d3.T.shape]
+    monkeypatch.undo()
+    _factored_differential.cache_clear()
+    cohomology.cache_clear()
 
 
 def test_factored_differential_keeps_no_dense_copy(monkeypatch):

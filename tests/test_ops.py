@@ -36,7 +36,6 @@ from arithcs.ops import (
     cyclic_three_cocycle,
     homotopy,
     identity_character,
-    path_term_tuple,
     shuffle_paths,
 )
 from arithcs.zmod import ModuleOverZn, right_kernel
@@ -322,6 +321,26 @@ def test_conjugate_reads_elements_strictly():
             conjugate(f, a)
     with pytest.raises(ValueError, match="out of range"):
         conjugate(f, -1)
+
+
+def path_term_tuple(path: ShufflePath, avec, xs, group) -> tuple[int, ...]:
+    """The (n+k)-tuple a single path feeds to f, built segment by segment.
+
+    Scalar reference for what ``homotopy`` gathers: a vertical segment
+    starting at height t yields a_{k-t}^{-1}; a horizontal one at height t
+    yields x_s conjugated by a_{k-t+1} ... a_k.
+    """
+    k = len(avec)
+    out = []
+    for kind, s, t in path.segments():
+        if kind == "v":
+            out.append(group.inv(avec[k - t - 1]))
+        else:
+            c = 0
+            for a in avec[k - t:]:
+                c = group.op(c, a)
+            out.append(group.op(group.op(c, xs[s]), group.inv(c)))
+    return tuple(out)
 
 
 def test_worked_grid_example_path():
