@@ -33,7 +33,10 @@ from .zmod import (
     _back_substitute,
     _element,
     _elements,
+    _form_dtype,
     _freeze,
+    _howell_rows,
+    _leading,
     diagonalize_mod,
     factorize,
     left_kernel,
@@ -276,6 +279,99 @@ def _generator_rows(group: FiniteGroup, degree: int) -> np.ndarray:
     return _freeze(index[list(_generating_set(group))].ravel())
 
 
+@functools.lru_cache(maxsize=None)
+def _tree(group: FiniteGroup) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], np.ndarray]:
+    """A breadth-first spanning tree of the Cayley graph of ``group`` over S.
+
+    Returns (levels, edges).  A level holds arrays (t, a, h): t = S[a]·h is
+    reached first from an h of the level before, or of S for the first
+    level.  Every element outside S, the identity included, is a t exactly
+    once, because every element is a positive word in S.  edges[a, h] marks
+    the tree edges (S[a], h).  The trivial group, whose S is {e}, has no
+    level and no edge.
+    """
+    gens = np.array(_generating_set(group))
+    reached = np.zeros(group.order, dtype=bool)
+    reached[gens] = True
+    edges = np.zeros((gens.size, group.order), dtype=bool)
+    levels = []
+    frontier = gens
+    while True:
+        a, h = np.divmod(np.arange(gens.size * frontier.size), frontier.size)
+        h = frontier[h]
+        t = group.mul[gens[a], h]
+        new, first = np.unique(t, return_index=True)
+        first = first[~reached[new]]
+        if not first.size:
+            return tuple(levels), _freeze(edges)
+        frontier, a, h = t[first], a[first], h[first]
+        reached[frontier] = True
+        edges[a, h] = True
+        levels.append((_freeze(frontier), _freeze(a), _freeze(h)))
+
+
+def _reduce(x: np.ndarray, n: int) -> np.ndarray:
+    """x mod n in place; numpy floor-divides by a constant several times
+    faster than it takes %."""
+    x -= x // n * n
+    return x
+
+
+def _extend(coeffs: GModuleAction, i: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extend values at first entries in S to degree-i cochains along ``_tree``.
+
+    ``y`` is a batch of B values y[a, x] = z(S[a], x) for x in G^(i-1), of
+    shape (|S|,) + (|G|,) * (i - 1) + (B, r) with entries in [0, n).  With
+    T(s; h, x) the terms of dz(s, h, x) whose first entry is s, which are
+    minus the signed ``_faces`` of y_s in degree i - 1, the cocycle identity
+    0 = dz(s, h, x) = s·z(h, x) - z(sh, x) + T(s; h, x) fixes z level by
+    level: z(t, x) = s·z(h, x) + T(s; h, x) on each tree edge.  Returns z,
+    of shape (|G|,) * i + (B, r), and the residual s·z(h, x) + T(s; h, x) -
+    z(sh, x), which is dz(s, h, x), at the pairs (s, h) that are not tree
+    edges, in the order of ``np.nonzero(~edges)``, of shape (pairs,) +
+    (|G|,) * (i - 1) + (B, r).  On tree edges dz vanishes by construction.
+    Both are int32 in [0, n): with n <= 2^16 a sum of a few entries stays
+    far inside int32, which moves half the bytes of int64, and the action's
+    products are taken in int64 and reduced.  T is built only for the s
+    whose values are not all zero, so a batch supported on one s costs one T.
+    """
+    group, n = coeffs.group, coeffs.modulus
+    gens = np.array(_generating_set(group))
+    levels, edges = _tree(group)
+    tails = []
+    for ys in y:
+        tail = None
+        if ys.any():
+            tail = np.zeros((group.order,) * i + ys.shape[i - 1 :], dtype=np.int32)
+            for sign, face in _faces(ys, i - 1, group.mul):
+                if sign > 0:
+                    tail -= face
+                else:
+                    tail += face
+                del face
+        tails.append(tail)
+
+    def step(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """s·z(h, x) + T(s; h, x) for s = S[a], unreduced."""
+        v = z[h]
+        if not coeffs.is_trivial():
+            v = _reduce(np.einsum("puv,p...v->p...u", coeffs.matrices[gens[a]], v), n).astype(np.int32)
+        for b, tail in enumerate(tails):
+            if tail is not None:
+                sel = np.flatnonzero(a == b)
+                v[sel] += tail[h[sel]]
+        return v
+
+    z = np.empty((group.order,) + y.shape[1:], dtype=np.int32)
+    z[gens] = y
+    for t, a, h in levels:
+        z[t] = _reduce(step(a, h), n)
+    a, h = np.nonzero(~edges)
+    res = step(a, h)
+    res -= z[group.mul[gens[a], h]]
+    return z, _reduce(res, n)
+
+
 # maxsize=0 caches nothing; it keeps cache_info(), whose misses perfbench's tracer counts as dense builds
 @functools.lru_cache(maxsize=0)
 def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
@@ -291,6 +387,9 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     exactly when its S rows vanish (Brown, *Cohomology of Groups*, on
     inhomogeneous cochains).  For a target that is not a cocycle the S rows
     say nothing, which is why ``solve_differential`` checks d x on all rows.
+    The same identity also cuts the columns: ``_cocycle_form`` finds Z^i
+    from a cocycle's values at first entries in S, so ``cohomology`` never
+    builds this matrix; solves and ``_factored_with_generator`` do.
 
     An int64 array with entries in [0, n), to be passed to the ``zmod``
     routines together with n = ``coeffs.modulus``.  Row s is multiplied by
@@ -310,10 +409,12 @@ def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
     """``factorize`` of ``_scaled_differential(coeffs, i)``, cached.
 
     The one cached form of d, whose dense generator rows are dropped once
-    factored.  Its k is the Howell form of Z^i, which ``cohomology`` reads
-    and seeded global trivializations sample from, and its ``solve`` serves
-    every ``solve_differential`` on the target's generator rows, so each d
-    is built and eliminated once however many targets are solved against it.
+    factored.  Its k is the Howell form of Z^i, which seeded global
+    trivializations sample from (``cohomology`` finds the same k by
+    ``_cocycle_form``, without d, except in degree 0), and its ``solve``
+    serves every ``solve_differential`` on the target's generator rows, so
+    each d is built and eliminated once however many targets are solved
+    against it.
     Its h, with one row per pivot and one column per generator-row
     coordinate of C^(i+1), is in ``zmod._form_dtype``.
     """
@@ -456,13 +557,55 @@ class CohomologyGroup:
         return tuple(int(x) % d for x, d in zip(moved, self.invariant_factors))
 
 
+def _cocycle_form(coeffs: GModuleAction, i: int) -> np.ndarray:
+    """hZ, the Howell form of Z^i for i >= 1, without building d^i.
+
+    A cocycle is fixed by its values y at first entries in S, and every y
+    extends to a cochain E y by ``_extend``, which is a cocycle exactly when
+    its residual M y vanishes.  So over Z/n lifts, with the row scales of
+    ``_scaled_differential`` on M and O the rows o_t e_t of the coordinates
+    whose order o_t is below n, Z^i = E(ker M) + span(O).  The identity
+    batch, one s at a time, gives M^T and E(I) with U = |S|·|G|^(i-1)·r
+    rows, and one ``_howell_rows`` of [[M^T | E(I)]; [0 | O]], stored in
+    ``_form_dtype``, does the rest: by the Howell property its rows with a
+    pivot in the E(I) block, restricted to that block, are the Howell form
+    of the row space's intersection with 0 + (Z/n)^(|G|^i·r), which is
+    0 + Z^i.  A row space has one Howell form, so hZ equals the k of
+    ``_factored_differential(coeffs, i)`` byte for byte.
+    """
+    group, n, r = coeffs.group, coeffs.modulus, coeffs.module.rank
+    m, gens = group.order, _generating_set(group)
+    block = m ** (i - 1) * r  # the unknowns of one s
+    left = np.count_nonzero(~_tree(group)[1]) * block  # the columns of M^T
+    orders = n // _row_scales(coeffs, m**i)
+    short = np.flatnonzero(orders < n)
+    w = np.zeros((len(gens) * block + short.size, left + m**i * r), dtype=_form_dtype(n))
+    eye = np.eye(block, dtype=np.int32).reshape((m,) * (i - 1) + (r, block)).swapaxes(-1, -2)
+    y = np.zeros((len(gens),) + eye.shape, dtype=np.int32)
+    for a in range(len(gens)):
+        y[a] = eye
+        z, res = _extend(coeffs, i, y)
+        y[a] = 0
+        if short.size:  # the scales are 1 unless some order is below n
+            res = res * _row_scales(coeffs, 1) % n
+        # narrowed first, the transposing copies move a quarter of the bytes
+        w[a * block : (a + 1) * block, :left] = np.moveaxis(res.astype(w.dtype), i, 0).reshape(block, -1)
+        w[a * block : (a + 1) * block, left:] = np.moveaxis(z.astype(w.dtype), i, 0).reshape(block, -1)
+        del z, res
+    w[len(gens) * block + np.arange(short.size), left + short] = orders[short]
+    h = _howell_rows(w, n)[0]
+    return h[_leading(h) >= left, left:].astype(np.int64)
+
+
 @functools.lru_cache(maxsize=None, typed=True)
 def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     """Compute H^degree(G, M) = ker d / im d by canonical forms.
 
-    The cocycles Z^i are the right kernel over Z/n of the generator rows of
-    d, whose Howell form hZ is the k of the cached ``_factored_differential``,
-    so a later ``solve_differential`` on the same d reuses this elimination.
+    hZ, the Howell form of the cocycles Z^i, comes from ``_cocycle_form``,
+    which eliminates a system in a cocycle's values at first entries in S
+    and never builds d^i; in degree 0, where no first entry exists, it is
+    the k of ``_factored_differential(coeffs, 0)``.  A ``solve_differential``
+    on the same d after it factors d itself.
     H is presented on the z rows of hZ: (Z/n)^z maps onto Z^i
     by c -> c @ hZ, with kernel the left kernel of hZ, and the coboundaries
     pull back to their hZ-coordinates, which back-substitution finds exactly
@@ -484,7 +627,7 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     width = m**degree * r
     orders = n // _row_scales(coeffs, m**degree)
 
-    basis = _factored_differential(coeffs, degree).k
+    basis = _cocycle_form(coeffs, degree) if degree else _factored_differential(coeffs, 0).k
 
     # coboundaries: the columns of d^(k-1) (none in degree 0), built uncached,
     # plus o_t e_t where o_t < n (the rest are zero mod n), in hZ-coordinates

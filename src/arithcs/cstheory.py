@@ -318,7 +318,11 @@ def validate_global_datum(datum: GlobalDatum) -> ValidationReport:
         )
 
     if all(c.passed for c in checks):
-        h2_glob = cohomology(scalar_coefficients(datum.global_group, n), 2)
+        coeffs = scalar_coefficients(datum.global_group, n)
+        h2_glob = cohomology(coeffs, 2)
+        # every invariant of the datum solves d a = c o rho on these
+        # coefficients, whatever rho is, so the datum's d^2 is factored here
+        _factored_differential(coeffs, 2)
         for i, z in enumerate(h2_glob.generators):
             try:
                 values = [local_invariant(p.restrict(z), p) for p in datum.places]

@@ -206,9 +206,11 @@ def _howell_rows(mat: np.ndarray, n: int):
     sweep over the columns of [mat | I] gives all three: h | u are the rows
     with a pivot in mat's columns and k those with one in I's columns; the
     sweep does not reduce h | u against k.  h has dtype ``_form_dtype(n)``,
-    u and k are int64.  Over Z/2 the bit-packed ``_howell_rows_gf2`` runs;
-    every other modulus runs ``_howell_rows_int64`` on ``_form_dtype(n)``
-    rows.  Both return the same arrays for n == 2.
+    u and k are int64.  ``mat`` may have any integer dtype, so a caller can
+    build it in ``_form_dtype(n)``.  Over Z/2 the bit-packed
+    ``_howell_rows_gf2`` runs; every other modulus runs
+    ``_howell_rows_int64`` on ``_form_dtype(n)`` rows.  Both return the same
+    arrays for n == 2.
     """
     return _howell_rows_gf2(mat) if n == 2 else _howell_rows_int64(mat, n)
 
@@ -228,19 +230,28 @@ def _howell_rows_int64(mat: np.ndarray, n: int):
     reduces only the rows from ``top`` down, which end as k.  Per pivot
     column, each run of rows whose entry the pivot divides is reduced in one
     batched ``_subtract``, and the gcd steps between runs are two-row
-    operations: the operations and their order of a row-by-row sweep.
+    operations: the operations and their order of a row-by-row sweep.  The
+    columns with no pivot, most of them in a wide matrix, are skipped 64 at
+    a time.
     """
     nrows, ncols = mat.shape
     work = np.zeros((nrows, ncols + nrows), dtype=_form_dtype(n))
-    # reduce a few rows at a time, so that ``% n`` never copies the whole matrix
+    # reduce a few rows at a time, so that ``% n`` never copies the whole
+    # matrix; in int64, because a narrow dtype may not hold n itself
     step = max(1, (1 << 18) // max(ncols, 1))
     for i in range(0, nrows, step):
-        work[i : i + step, :ncols] = mat[i : i + step] % n
+        work[i : i + step, :ncols] = np.asarray(mat[i : i + step], dtype=np.int64) % n
     work[np.arange(nrows), ncols + np.arange(nrows)] = 1
     live, r, top = nrows, 0, 0
     for c in range(ncols + nrows):
         if c == ncols:
             top = r
+        if c % 64 == 0:
+            # every later operation combines rows r.., so a column that is zero
+            # there now stays zero: read each run of 64 columns once
+            busy = work[r:live, c : c + 64].any(axis=0)
+        if not busy[c % 64]:
+            continue
         vals = work[r:live, c].astype(np.int64)
         nz = np.flatnonzero(vals)
         if nz.size == 0:

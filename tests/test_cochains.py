@@ -10,12 +10,14 @@ from arithcs.cochains import (
     Cochain,
     Coboundary,
     _differential_matrix,
+    _extend,
     _factored_differential,
     _generating_set,
     _generator_rows,
     _row_scales,
     _scaled,
     _scaled_differential,
+    _tree,
     DegreeBoundError,
     NonCocycle,
     NontrivialClass,
@@ -26,7 +28,7 @@ from arithcs.cochains import (
     pullback,
     solve_differential,
 )
-from arithcs.cstheory import _global_trivialization, cs_invariant, section_class
+from arithcs.cstheory import _global_trivialization, cs_invariant, scalar_coefficients, section_class, validate_global_datum
 from arithcs.fixtures import quaternion_datum, quaternion_rho, toy_global_datum, toy_rho
 from arithcs.groups import (
     GModuleAction,
@@ -63,6 +65,25 @@ def full_scaled_differential(coeffs, degree):
 def full_scaled(f):
     """f's values on every tuple, scaled as the rows of ``full_scaled_differential``."""
     return f.values.reshape(-1) * _row_scales(f.coeffs, f.values.shape[0]) % f.coeffs.modulus
+
+
+def spy_howell_rows(monkeypatch) -> list:
+    """Record the shape of every ``_howell_rows`` call, from zmod and from cochains."""
+    shapes = []
+    howell_rows = zmod._howell_rows
+
+    def counting(mat, n):
+        shapes.append(mat.shape)
+        return howell_rows(mat, n)
+
+    monkeypatch.setattr(zmod, "_howell_rows", counting)
+    monkeypatch.setattr(cochains, "_howell_rows", counting)
+    return shapes
+
+
+def clear_cochain_caches():
+    for cache in (cohomology, _factored_differential, _generator_rows, _tree):
+        cache.cache_clear()
 
 
 def small_corpus():
@@ -432,39 +453,60 @@ def test_coordinates_refuse_non_cocycles():
                 h.coordinates(g)
 
 
-def test_cohomology_depends_on_row_spaces_alone(monkeypatch):
+ROW_SPACE_CASES = [
+    (GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4))), 2),
+    (GModuleAction.trivial(symmetric3(), ModuleOverZn.cyclic(3)), 3),
+    (z6_twisted(), 3),
+    (triv(cyclic(6), 6), 2),
+    (triv(klein_four(), 2), 2),
+]
+
+
+def test_factored_kernel_depends_on_row_spaces_alone(monkeypatch):
     # another generating set of the rows of d: permuted rows, one row times a
     # unit, and one more row that is a combination of the others
     rng = np.random.default_rng(12)
-    cases = [
-        (GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4))), 2),
-        (GModuleAction.trivial(symmetric3(), ModuleOverZn.cyclic(3)), 3),
-        (z6_twisted(), 3),
-        (triv(cyclic(6), 6), 2),
-        (triv(klein_four(), 2), 2),
-    ]
     scaled = cochains._scaled_differential
-    for coeffs, degree in cases:
-        _factored_differential.cache_clear()
-        cohomology.cache_clear()
-        want, want_k = cohomology(coeffs, degree), _factored_differential(coeffs, degree).k
+    for coeffs, degree in ROW_SPACE_CASES:
+        clear_cochain_caches()
+        want_k = _factored_differential(coeffs, degree).k
         d, n = scaled(coeffs, degree), coeffs.modulus
         other = d[rng.permutation(len(d))]
         other[0] = other[0] * (n - 1) % n
         other = np.vstack([other, rng.integers(0, n, size=len(other)) @ other % n])
         monkeypatch.setattr(cochains, "_scaled_differential", lambda c, i: other if (c, i) == (coeffs, degree) else scaled(c, i))
         _factored_differential.cache_clear()
-        cohomology.cache_clear()
-        got, factored = cohomology(coeffs, degree), _factored_differential(coeffs, degree)
+        factored = _factored_differential(coeffs, degree)
         monkeypatch.undo()
         # h has one column per row of the d it factored
         assert factored.h.shape[1] == len(other) == len(d) + 1
+        assert factored.k.shape == want_k.shape and factored.k.tobytes() == want_k.tobytes()
+    clear_cochain_caches()
+
+
+def test_cohomology_depends_on_row_spaces_alone(monkeypatch):
+    # every non-identity element as S instead of the greedy set: other
+    # unknowns, another spanning tree and more residual rows, the same Z^i
+    for coeffs, degree in ROW_SPACE_CASES:
+        group = coeffs.group
+        clear_cochain_caches()
+        want, want_k = cohomology(coeffs, degree), _factored_differential(coeffs, degree).k
+        greedy = len(_generating_set(group))
+        shapes = spy_howell_rows(monkeypatch)
+        monkeypatch.setattr(cochains, "_generating_set", lambda g: tuple(range(1, g.order)))
+        clear_cochain_caches()
+        got, k = cohomology(coeffs, degree), _factored_differential(coeffs, degree).k
+        monkeypatch.undo()
+        clear_cochain_caches()
+        # the patch took effect: the first sweep has |S| * |G|^(i-1) * r
+        # unknown rows and one M^T column per non-tree pair, x and coordinate
+        block, everything = group.order ** (degree - 1) * coeffs.module.rank, group.order - 1
+        assert shapes[0][0] >= everything * block > greedy * block
+        assert shapes[0][1] == (everything * group.order - 1) * block + group.order * block
         assert got.invariant_factors == want.invariant_factors
         assert [g.values.tobytes() for g in got.generators] == [g.values.tobytes() for g in want.generators]
-        for a, b in [(factored.k, want_k), (got.basis, want.basis), (got.transform, want.transform)]:
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    _factored_differential.cache_clear()
-    cohomology.cache_clear()
+        for a, b in [(k, want_k), (got.basis, want.basis), (got.transform, want.transform)]:
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_cohomology_is_presented_on_the_cocycles():
@@ -508,14 +550,7 @@ def test_seeded_global_trivializations_reuse_the_factorization(monkeypatch):
     c_rho = pullback(rho, datum.three_cocycle)
     base = _global_trivialization(datum, rho, None)
     invariant, section = cs_invariant(datum, rho), section_class(datum, rho)
-    calls = []
-    real = zmod._howell_rows
-
-    def spy(mat, n):
-        calls.append(mat.shape)
-        return real(mat, n)
-
-    monkeypatch.setattr(zmod, "_howell_rows", spy)
+    calls = spy_howell_rows(monkeypatch)
     seeded = [_global_trivialization(datum, rho, seed) for seed in range(5)]
     assert calls == []  # every seeded a' comes from the cached factorization
     for a in seeded:
@@ -551,17 +586,28 @@ def test_seeded_global_trivializations_reuse_the_factorization(monkeypatch):
 def test_warm_invariants_eliminate_nothing(monkeypatch, datum, rho):
     # the local invariants solve against one cached factorization per place
     invariant = cs_invariant(datum, rho)
-    calls = []
-    real = zmod._howell_rows
-
-    def spy(mat, n):
-        calls.append(mat.shape)
-        return real(mat, n)
-
-    monkeypatch.setattr(zmod, "_howell_rows", spy)
+    calls = spy_howell_rows(monkeypatch)
     assert cs_invariant(datum, rho) == invariant
     assert cs_invariant(datum, rho, solver_seed=3) == invariant
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "datum, rho",
+    [(quaternion_datum(), quaternion_rho()), (toy_global_datum(), toy_rho())],
+    ids=["quaternion", "toy"],
+)
+def test_validation_factors_the_global_differential(monkeypatch, datum, rho):
+    # every invariant of a datum solves d a = c o rho against the global d^2,
+    # whatever rho is, so validating the datum factors it
+    d2 = _scaled_differential(scalar_coefficients(datum.global_group, datum.modulus), 2)
+    clear_cochain_caches()
+    assert validate_global_datum(datum).passed
+    calls = spy_howell_rows(monkeypatch)
+    _global_trivialization(datum, rho, None)
+    assert d2.T.shape not in calls
+    monkeypatch.undo()
+    clear_cochain_caches()
 
 
 def test_solve_differential_refuses_targets_on_other_coefficients():
@@ -640,30 +686,103 @@ def test_generating_sets():
     assert _generator_rows(q8, 2).tolist() == list(range(8, 24))
 
 
+def cocycle_form_cases():
+    """(coefficients, degree) for every sweep case of degree >= 1, the trivial
+    group, a rank-2 twisted module and S3 on Z/2+Z/4, and moduli whose
+    ``_form_dtype`` cannot hold n itself (256) or is uint16 (300)."""
+    yield from ((coeffs, degree) for coeffs, degree, _ in sweep() if degree)
+    for coeffs in (triv(make_group([[0]]), 4), rank_two_action(4, [[0, 1], [1, 0]]), s3_sign_shear()):
+        yield from ((coeffs, degree) for degree in (1, 2, 3))
+    yield from ((triv(Z3, n), 2) for n in (256, 300))
+
+
 def test_generator_row_kernels_equal_full_kernels():
-    # k is the Howell form of Z^i, so equal bytes mean equal row spaces
-    for coeffs, degree, _ in sweep():
+    # k and the basis of cohomology are Howell forms of Z^i, so equal bytes
+    # mean equal row spaces: the generator rows of d, and the values at
+    # first entries in S, lose no cocycle condition
+    for coeffs, degree in [(coeffs, degree) for coeffs, degree, _ in sweep() if not degree] + list(cocycle_form_cases()):
         rows = len(_generator_rows(coeffs.group, degree + 1)) * coeffs.module.rank
         assert _scaled_differential(coeffs, degree).shape[0] == rows
         full = factorize(full_scaled_differential(coeffs, degree), coeffs.modulus).k
-        got = _factored_differential(coeffs, degree).k
-        assert got.shape == full.shape and got.tobytes() == full.tobytes()
+        got = [_factored_differential(coeffs, degree).k]
+        if degree:
+            cohomology.cache_clear()
+            got.append(cohomology(coeffs, degree).basis)
+        for k in got:
+            assert k.shape == full.shape and k.dtype == full.dtype and k.tobytes() == full.tobytes()
 
 
-def test_cohomology_and_solves_factor_each_differential_once(monkeypatch):
+def test_cold_cohomology_builds_no_differential(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cohomology built or factored d")
+
+    monkeypatch.setattr(cochains, "_scaled_differential", refuse)
+    monkeypatch.setattr(cochains, "_factored_differential", refuse)
+    for coeffs, degree in [(triv(quaternion8(), 4), 3), (z6_twisted(), 3), (s3_sign_shear(), 2),
+                           (triv(make_group([[0]]), 2), 1)]:
+        clear_cochain_caches()
+        assert cohomology(coeffs, degree).basis.shape[1] == coeffs.group.order**degree * coeffs.module.rank
+    monkeypatch.undo()
+    clear_cochain_caches()
+
+
+@pytest.mark.parametrize(
+    "group", [make_group([[0]]), Z4, symmetric3(), quaternion8(), direct_product(quaternion8(), Z3)],
+    ids=lambda g: f"|G|={g.order}",
+)
+def test_tree_reaches_every_element_outside_s_once(group):
+    gens = _generating_set(group)
+    levels, edges = _tree(group)
+    seen = set(gens)
+    for t, a, h in levels:
+        assert set(h.tolist()) <= seen  # each level extends the elements reached before it
+        assert np.array_equal(group.mul[np.array(gens)[a], h], t)
+        assert seen.isdisjoint(t.tolist()) and len(set(t.tolist())) == t.size
+        seen |= set(t.tolist())
+        assert edges[a, h].all()
+    assert seen == set(range(group.order))
+    assert edges.shape == (len(gens), group.order) and edges.sum() == group.order - len(gens)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [triv(make_group([[0]]), 4), triv(Z4, 4), triv(quaternion8(), 2), z6_twisted(), s3_sign_shear(),
+     rank_two_action(4, [[0, 1], [1, 0]])],
+    ids=lambda c: f"|G|={c.group.order},M={c.module.orders}",
+)
+def test_extend_is_the_cocycle_identity(coeffs):
+    # for any values at first entries in S, the extension agrees with them,
+    # its d vanishes on the tree rows and equals the residual on the others
+    group, n, r = coeffs.group, coeffs.modulus, coeffs.module.rank
+    m, gens = group.order, np.array(_generating_set(group))
+    orders = np.asarray(coeffs.module.orders)
+    rng = np.random.default_rng(m)
+    edges = _tree(group)[1]
+    pairs = np.nonzero(~edges)
+    for degree in (1, 2, 3):
+        y = rng.integers(0, n, size=(gens.size,) + (m,) * (degree - 1) + (3, r))
+        z, res = _extend(coeffs, degree, y)
+        assert z.shape == (m,) * degree + (3, r) and res.shape == (len(pairs[0]),) + (m,) * (degree - 1) + (3, r)
+        assert np.array_equal(z[gens], y)
+        for b in range(3):
+            dz = differential(Cochain(coeffs, degree, z[..., b, :].reshape(-1, r))).values
+            dz = dz.reshape((m, m, m ** (degree - 1), r))
+            assert not dz[gens][edges].any()
+            assert np.array_equal(dz[gens][pairs], res[..., b, :].reshape(len(pairs[0]), -1, r) % orders)
+        # a cocycle is its own extension, with no residual
+        cocycle = differential(Cochain.random(coeffs, degree - 1, rng))
+        values = cocycle.values.reshape((m,) * degree + (1, r))
+        z, res = _extend(coeffs, degree, values[gens])
+        assert np.array_equal(z % orders, values) and not (res % orders).any()
+
+
+def test_cohomology_factors_no_differential_and_solves_factor_d2_once(monkeypatch):
     coeffs = triv(Z4, 2)
     d2 = _scaled_differential(coeffs, 2)
-    _factored_differential.cache_clear()
-    cohomology.cache_clear()
-    shapes = []
-    howell_rows = zmod._howell_rows
-
-    def counting(mat, n):
-        shapes.append(mat.shape)
-        return howell_rows(mat, n)
-
-    monkeypatch.setattr(zmod, "_howell_rows", counting)
+    clear_cochain_caches()
+    shapes = spy_howell_rows(monkeypatch)
     assert cohomology(coeffs, 2).invariant_factors == (2,)
+    assert d2.T.shape not in shapes and _factored_differential.cache_info().currsize == 0
     rng = np.random.default_rng(4)
     for _ in range(2):
         target = differential(Cochain.random(coeffs, 2, rng))
@@ -672,28 +791,21 @@ def test_cohomology_and_solves_factor_each_differential_once(monkeypatch):
 
 
 def test_each_factorization_eliminates_once(monkeypatch):
-    # a cold cohomology eliminates d^T and its Howell rows hZ, whose left
-    # kernel comes out of that one sweep already in Howell form
+    # a cold cohomology makes one sweep of [[M^T | E(I)]; [0 | O]] for hZ and
+    # one of hZ, whose left kernel comes out of that sweep in Howell form
     coeffs = triv(quaternion8(), 4)
     d3 = _scaled_differential(coeffs, 3)
-    _factored_differential.cache_clear()
-    cohomology.cache_clear()
-    shapes = []
-    howell_rows = zmod._howell_rows
-
-    def counting(mat, n):
-        shapes.append(mat.shape)
-        return howell_rows(mat, n)
-
-    monkeypatch.setattr(zmod, "_howell_rows", counting)
+    clear_cochain_caches()
+    shapes = spy_howell_rows(monkeypatch)
     h = cohomology(coeffs, 3)
-    assert shapes == [d3.T.shape, h.basis.shape]
+    # S = {1, 2}: 2 * 8^2 unknowns and no O (every order is n); 8 - 2 tree
+    # edges leave 2 * 8 - 6 = 10 pairs, each 8^2 columns of M^T, then 8^3 of E(I)
+    assert shapes == [(2 * 8**2, 10 * 8**2 + 8**3), h.basis.shape]
     shapes.clear()
     assert solve_linear(d3, d3 @ np.arange(d3.shape[1]) % 4, 4) is not None
     assert shapes == [d3.T.shape]
     monkeypatch.undo()
-    _factored_differential.cache_clear()
-    cohomology.cache_clear()
+    clear_cochain_caches()
 
 
 def test_factored_differential_keeps_no_dense_copy(monkeypatch):
