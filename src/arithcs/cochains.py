@@ -6,8 +6,13 @@ operation indexes those tuples one way, on the tensor view of shape
 conjugations, pullbacks and homotopies are gathers along its axes.  The flat
 (|G|^i, rank M) table, whose row is the index of a tuple in lexicographic
 order with g_1 most significant, is that tensor's C-order ravel; the rows of
-the matrix of d are numbered the same way.  The differential is the signed
-one:
+the matrix of d are numbered the same way.  The table is int64 with entries
+reduced, but the kernels that compute one (d, ``pullback``, the operations
+of ``ops``, and sums, differences and scalar multiples of cochains) gather
+and sum a narrow copy of their inputs, in the narrowest signed dtype that
+holds the bound of the sum (``_narrow_dtype``: int16 for d of a degree-3
+cochain up to n = 6553), and ``Cochain`` reduces that in its own dtype
+before converting it to int64 once.  The differential is the signed one:
 
     df(g_1, ..., g_{i+1}) = g_1 f(g_2, ..., g_{i+1})
         + sum_{k=1}^{i} (-1)^k f(g_1, ..., g_k g_{k+1}, ..., g_{i+1})
@@ -33,10 +38,12 @@ from .zmod import (
     _back_substitute,
     _element,
     _elements,
+    _floor_mod,
     _form_dtype,
     _freeze,
     _howell_rows,
     _leading,
+    _narrow_dtype,
     diagonalize_mod,
     factorize,
     left_kernel,
@@ -61,8 +68,10 @@ class Cochain:
             raise ValueError("degree must be nonnegative")
         m = coeffs.group.order
         r = coeffs.module.rank
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+            values = _elements(values, "cochain value")
         # reshape before reducing: a flat vector of a rank-r module reduces per column
-        vals = coeffs.module.reduce(_elements(values, "cochain value").reshape(m**degree, r))
+        vals = coeffs.module.reduce(values.reshape(m**degree, r))
         self.coeffs = coeffs
         self.degree = degree
         self.values = _freeze(vals)
@@ -98,17 +107,22 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        return Cochain(self.coeffs, self.degree, self.values + other.values)
+        dtype = _narrow_dtype(2 * self.module.modulus)  # a sum of two values in [0, n)
+        return Cochain(self.coeffs, self.degree, self.values.astype(dtype) + other.values.astype(dtype))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        return Cochain(self.coeffs, self.degree, self.values - other.values)
+        dtype = _narrow_dtype(self.module.modulus)  # a difference of two values in [0, n)
+        return Cochain(self.coeffs, self.degree, self.values.astype(dtype) - other.values.astype(dtype))
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.coeffs, self.degree, -self.values)
+        return Cochain(self.coeffs, self.degree, -self.values.astype(_narrow_dtype(self.module.modulus)))
 
     def __rmul__(self, scalar: int) -> "Cochain":
-        return Cochain(self.coeffs, self.degree, _element(scalar, "scalar") * self.values)
+        # every order divides n, so the scalar acts mod n: a product below n²
+        n = self.module.modulus
+        dtype = _narrow_dtype(n * n)
+        return Cochain(self.coeffs, self.degree, dtype(_element(scalar, "scalar") % n) * self.values.astype(dtype))
 
     def _check_compatible(self, other: "Cochain"):
         if self.coeffs != other.coeffs or self.degree != other.degree:
@@ -150,28 +164,37 @@ def _faces(t: np.ndarray, i: int, mul: np.ndarray):
     The first i axes of ``t`` are the group axes g_1, ..., g_i.  Face k <= i
     reads t at g_k g_{k+1} in place of g_k: ``np.take(t, mul, axis=k - 1)``,
     whose first i + 1 axes are g_1, ..., g_{i+1}.  Face i + 1 ignores g_{i+1}:
-    it is t with a new length-1 axis i, for the caller to broadcast.  Face 0
-    needs the action and stays with the caller.  Each face is built only when
-    the next one is requested.
+    it is t reshaped with a new length-1 axis i, for the caller to broadcast.
+    Face 0 needs the action and stays with the caller.  Each face is built
+    only when the next one is requested.
     """
     for k in range(1, i + 1):
         yield (-1) ** k, np.take(t, mul, axis=k - 1)
-    yield (-1) ** (i + 1), np.expand_dims(t, i)
+    yield (-1) ** (i + 1), t.reshape(t.shape[:i] + (1,) + t.shape[i:])
 
 
 def _coboundary(f: Cochain) -> np.ndarray:
-    """df as an unreduced int64 array of shape (|G|,) * (i + 1) + (rank M,).
+    """df, unreduced, of shape (|G|,) * (i + 1) + (rank M,), in the
+    narrowest signed dtype that holds it (``_narrow_dtype``).
 
-    Each face is a view or one gather of f's tensor: face 0 broadcasts f over
-    the new first axis (acted on by g_1 through one einsum unless the action
-    is trivial), and ``_faces`` gives the others.
+    Each face is a view or one gather of a narrow copy of f's tensor: face 0
+    broadcasts f over the new first axis (acted on by g_1 through one einsum
+    unless the action is trivial), and ``_faces`` gives the others.  Values
+    and action-matrix entries lie in [0, n), so face 0 lies in [0, n), or in
+    [0, r·n²) when acted on, and each of the other i + 1 faces adds or
+    subtracts less than n.  That bound, face 0's plus (i + 1)·n, is (i + 2)·n
+    for a trivial action; it also holds df - target for a target in [0, n),
+    as at most i + 1 faces are subtracted.
     """
-    i, mul = f.degree, f.group.mul
-    values = _tensor(f)
-    if f.coeffs.is_trivial():
-        acc = np.broadcast_to(values, (mul.shape[0],) + values.shape).copy()
+    i, mul, n = f.degree, f.group.mul, f.coeffs.modulus
+    trivial = f.coeffs.is_trivial()
+    dtype = _narrow_dtype((n if trivial else f.module.rank * n * n) + (i + 1) * n)
+    values = _tensor(f).astype(dtype)
+    if trivial:
+        acc = np.empty((mul.shape[0],) + values.shape, dtype=dtype)
+        acc[...] = values
     else:
-        acc = np.einsum("guv,...v->g...u", f.coeffs.matrices, values)
+        acc = np.einsum("guv,...v->g...u", f.coeffs.matrices.astype(dtype), values)
     for sign, face in _faces(values, i, mul):
         if sign > 0:
             acc += face
@@ -197,7 +220,8 @@ def pullback(rho: GroupHom, f: Cochain) -> Cochain:
     if rho.cod != f.group:
         raise ValueError("pullback target group does not match the cochain's group")
     induced = GModuleAction(rho.dom, f.module, f.coeffs.matrices[rho.map])
-    return Cochain(induced, f.degree, _tensor(f)[np.ix_(*[rho.map] * f.degree)])
+    values = _tensor(f).astype(_narrow_dtype(f.module.modulus))  # values lie in [0, n)
+    return Cochain(induced, f.degree, values[np.ix_(*[rho.map] * f.degree)])
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +334,6 @@ def _tree(group: FiniteGroup) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.nd
         levels.append((_freeze(frontier), _freeze(a), _freeze(h)))
 
 
-def _reduce(x: np.ndarray, n: int) -> np.ndarray:
-    """x mod n in place; numpy floor-divides by a constant several times
-    faster than it takes %."""
-    x -= x // n * n
-    return x
-
-
 def _extend(coeffs: GModuleAction, i: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extend values at first entries in S to degree-i cochains along ``_tree``.
 
@@ -355,7 +372,7 @@ def _extend(coeffs: GModuleAction, i: int, y: np.ndarray) -> tuple[np.ndarray, n
         """s·z(h, x) + T(s; h, x) for s = S[a], unreduced."""
         v = z[h]
         if not coeffs.is_trivial():
-            v = _reduce(np.einsum("puv,p...v->p...u", coeffs.matrices[gens[a]], v), n).astype(np.int32)
+            v = _floor_mod(np.einsum("puv,p...v->p...u", coeffs.matrices[gens[a]], v), n).astype(np.int32)
         for b, tail in enumerate(tails):
             if tail is not None:
                 sel = np.flatnonzero(a == b)
@@ -365,11 +382,11 @@ def _extend(coeffs: GModuleAction, i: int, y: np.ndarray) -> tuple[np.ndarray, n
     z = np.empty((group.order,) + y.shape[1:], dtype=np.int32)
     z[gens] = y
     for t, a, h in levels:
-        z[t] = _reduce(step(a, h), n)
+        z[t] = _floor_mod(step(a, h), n)
     a, h = np.nonzero(~edges)
     res = step(a, h)
     res -= z[group.mul[gens[a], h]]
-    return z, _reduce(res, n)
+    return z, _floor_mod(res, n)
 
 
 # maxsize=0 caches nothing; it keeps cache_info(), whose misses perfbench's tracer counts as dense builds
@@ -468,11 +485,10 @@ def solve_differential(coeffs: GModuleAction, degree: int, target: Cochain) -> C
     if sol is None:
         return None
     x = Cochain(coeffs, degree, sol.particular)
-    # d x - target is zero mod the orders where each order divides it; numpy
-    # floor-divides by an order several times faster than it takes % of it
-    diff = _coboundary(x).reshape(target.values.shape) - target.values
-    orders = np.asarray(coeffs.module.orders, dtype=np.int64)
-    if (diff // orders * orders != diff).any():
+    # in _coboundary's dtype, whose bound holds d x - target
+    diff = _coboundary(x).reshape(target.values.shape)
+    diff -= target.values.astype(diff.dtype)
+    if _floor_mod(diff, coeffs.module.orders).any():
         return None
     return x
 

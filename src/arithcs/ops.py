@@ -23,13 +23,22 @@ path.  The k = 1 case is the classical cylinder homotopy, satisfying
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cochains import Cochain, DegreeBoundError, _tensor, differential
 from .groups import GModuleAction, conjugation_hom, cyclic
-from .zmod import MAX_MODULUS, ComputationError, ModuleOverZn, NotDivisibleError, _element
+from .zmod import (
+    MAX_MODULUS,
+    ComputationError,
+    ModuleOverZn,
+    NotDivisibleError,
+    _element,
+    _floor_mod,
+    _narrow_dtype,
+)
 
 
 class IncompatiblePairingError(ComputationError):
@@ -52,7 +61,9 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
     The product broadcasts x's tensor over q new axes against y's.  For a
     twisted y the prefix product g_1...g_p is a (|G|,) * p tensor of group
     elements, built by p lookups in the multiplication table, and its action
-    on y is one broadcast matmul.
+    on y is one broadcast matmul.  Both tensors are narrow copies
+    (``_narrow_dtype``) of values in [0, n): a product lies below n², and
+    below r·n³ when y is acted on by rank-r matrices with entries in [0, n).
     """
     if x.group != y.group:
         raise IncompatiblePairingError("cup factors live on different groups")
@@ -66,15 +77,18 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
         raise IncompatiblePairingError(
             "no canonical pairing: neither factor is a trivially-acted Z/n scalar"
         )
-    m, p, q = x.group.order, x.degree, y.degree
-    yv = _tensor(y)
-    if not y.coeffs.is_trivial():
+    m, p, q, n = x.group.order, x.degree, y.degree, x.module.modulus
+    twisted = not y.coeffs.is_trivial()
+    dtype = _narrow_dtype(n * n * (y.module.rank * n if twisted else 1))
+    yv = _tensor(y).astype(dtype)
+    if twisted:
         prefix = np.zeros((), dtype=np.int64)  # the identity, the empty product
         for _ in range(p):
             prefix = x.group.mul[prefix]
         r = y.module.rank
-        yv = (y.coeffs.matrices[prefix].reshape((m,) * p + (1,) * q + (r, r)) @ yv[..., None])[..., 0]
-    xv = _tensor(x).reshape((m,) * p + (1,) * q + (x.module.rank,))
+        action = y.coeffs.matrices.astype(dtype)[prefix]
+        yv = (action.reshape((m,) * p + (1,) * q + (r, r)) @ yv[..., None])[..., 0]
+    xv = _tensor(x).astype(dtype).reshape((m,) * p + (1,) * q + (x.module.rank,))
     return Cochain(out_coeffs, p + q, xv * yv)
 
 
@@ -83,7 +97,8 @@ def bockstein(f: Cochain) -> Cochain:
 
     Lifts values through the standard section (i mod n -> i mod n^2), applies
     d over Z/n^2, and divides by n.  On the identity character of Z/n this is
-    the carry cocycle [i + j >= n].
+    the carry cocycle [i + j >= n].  The values of d over Z/n^2 lie in
+    [0, n^2) and are tested and divided in a dtype that holds n^2.
     """
     if not _is_scalar(f):
         raise IncompatiblePairingError("bockstein needs Z/n coefficients with trivial action")
@@ -92,27 +107,33 @@ def bockstein(f: Cochain) -> Cochain:
         raise ValueError(f"bockstein needs n^2 <= {MAX_MODULUS}")
     lifted_coeffs = GModuleAction.trivial(f.group, ModuleOverZn.cyclic(n * n))
     lifted = Cochain(lifted_coeffs, f.degree, f.values)
-    db = differential(lifted)
-    bad = (_tensor(db) % n).any(axis=-1)
+    dtype = _narrow_dtype(n * n)
+    db = _tensor(differential(lifted)).astype(dtype)
+    bad = _floor_mod(db, n).any(axis=-1)
     if bad.any():
         witness = tuple(int(g) for g in np.unravel_index(np.flatnonzero(bad)[0], bad.shape))
         raise NotDivisibleError(
             f"d of the lift is not divisible by {n} at tuple {witness}; the input is not a cocycle"
         )
-    return Cochain(f.coeffs, f.degree + 1, db.values // n)
+    return Cochain(f.coeffs, f.degree + 1, db // dtype(n))
 
 
 def conjugate(f: Cochain, a: int) -> Cochain:
     """The right action f^a = a^{-1} . f(a g_1 a^{-1}, ..., a g_i a^{-1}).
 
     Commutes with the differential and satisfies (f^a)^b = f^{ab}.  One
-    gather of f's tensor at the conjugation map along every axis, as in
-    ``pullback``, then the action of a^{-1} unless it is trivial.
+    gather of a narrow copy of f's tensor at the conjugation map along every
+    axis, as in ``pullback``, then the action of a^{-1} unless it is trivial.
+    Values lie in [0, n), and acted on by a rank-r matrix with entries in
+    [0, n) below r·n².
     """
     cmap = conjugation_hom(f.group, a).map
-    vals = _tensor(f)[np.ix_(*[cmap] * f.degree)]
-    if not f.coeffs.is_trivial():
-        vals = vals @ f.coeffs.matrices[f.group.inv(a)].T
+    n, r = f.module.modulus, f.module.rank
+    twisted = not f.coeffs.is_trivial()
+    dtype = _narrow_dtype(r * n * n if twisted else n)
+    vals = _tensor(f).astype(dtype)[np.ix_(*[cmap] * f.degree)]
+    if twisted:
+        vals = vals @ f.coeffs.matrices[f.group.inv(a)].T.astype(dtype)
     return Cochain(f.coeffs, f.degree, vals)
 
 
@@ -182,7 +203,10 @@ def homotopy(avec, f: Cochain) -> Cochain:
     Each path's term is one gather of f's tensor, indexed by one entry per
     step: a vertical step's element a_{k-t}^{-1} as a scalar, and a
     horizontal step's conjugation map reshaped onto its output axis s, so
-    the entries broadcast to the (|G|,) * (deg(f) - k) output tuples.
+    the entries broadcast to the (|G|,) * (deg(f) - k) output tuples.  The
+    terms are gathered from a narrow copy of f's tensor and summed in it:
+    each of the binomial(deg(f), k) paths adds or subtracts a value in
+    [0, n).
     """
     avec = [_element(a) for a in avec]
     k = len(avec)
@@ -204,14 +228,18 @@ def homotopy(avec, f: Cochain) -> Cochain:
         prod = g.op(avec[k - t], prod)
         conj_maps.append(conjugation_hom(g, prod).map)
 
-    values = _tensor(f)
-    acc = np.zeros((m,) * n_out + (f.module.rank,), dtype=np.int64)
+    dtype = _narrow_dtype(math.comb(f.degree, k) * f.module.modulus)
+    values = _tensor(f).astype(dtype)
+    acc = np.zeros((m,) * n_out + (f.module.rank,), dtype=dtype)
     for path in shuffle_paths(n_out, k):
         index = tuple(
             g.inv(avec[k - t - 1]) if kind == "v" else conj_maps[t].reshape((m,) + (1,) * (n_out - 1 - s))
             for kind, s, t in path.segments()
         )
-        acc += path.sign * values[index]
+        if path.sign > 0:
+            acc += values[index]
+        else:
+            acc -= values[index]
     return Cochain(f.coeffs, n_out, acc)
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import weakref
 
@@ -9,6 +10,7 @@ from arithcs import cochains, cstheory, dataio, zmod
 from arithcs.cochains import (
     Cochain,
     Coboundary,
+    _coboundary,
     _differential_matrix,
     _extend,
     _factored_differential,
@@ -221,13 +223,142 @@ def test_values_are_read_strictly():
     coeffs = triv(Z2, 3)
     assert Cochain(coeffs, 1, [np.int64(1), 2]).values.tolist() == [[1], [2]]
     assert Cochain(coeffs, 1, np.array([1, 2], dtype=np.uint8)).values.tolist() == [[1], [2]]
-    for values in ([0.5, 2.7], [1.0, 2], [True, False], np.array([0.5, 2.7]), np.array([True, False])):
+    # every integer dtype, negative entries included, equals the int64 construction
+    z4 = triv(Z4, 7)
+    for dtype in (np.int8, np.int16, np.int32, np.uint16, np.uint32):
+        info = np.iinfo(dtype)
+        values = np.array([int(info.min), -1, 5, int(info.max)]).astype(dtype)
+        assert Cochain(z4, 1, values) == Cochain(z4, 1, values.astype(np.int64))
+        assert Cochain(z4, 1, values).values.dtype == np.int64
+    floats = (np.array([0.5, 2.7]), np.array([0.5, 2.7], dtype=np.float16), np.array([1, 2], dtype=np.float32))
+    for values in ([0.5, 2.7], [1.0, 2], [True, False], *floats, np.array([True, False])):
         with pytest.raises(ValueError, match="cochain value"):
             Cochain(coeffs, 1, values)
     assert Cochain.from_function(coeffs, 1, lambda g: [g + 1]).values.tolist() == [[1], [2]]
     for fn in (lambda g: [g + 0.5], lambda g: g / 1, lambda g: [g == 1], lambda g: np.array([g], dtype=float)):
         with pytest.raises(ValueError, match="cochain value"):
             Cochain.from_function(coeffs, 1, fn)
+
+
+def test_values_do_not_alias_the_callers_array():
+    coeffs = triv(Z2, 3)
+    for dtype in (np.int16, np.int32, np.int64):
+        values = np.array([[1], [2]], dtype=dtype)
+        f = Cochain(coeffs, 1, values)
+        values[:] = 0
+        assert f.values.tolist() == [[1], [2]]
+        assert not f.values.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+@pytest.mark.parametrize("orders", [(2,), (3,), (2, 4), (181,), (32767,), (65536,)], ids=str)
+def test_reduce_is_exact_on_narrow_dtypes(dtype, orders):
+    # expected by Python-int %; an int16 array with order 65536 takes the int64 path
+    info = np.iinfo(dtype)
+    module = ModuleOverZn(max(orders), orders)
+    rng = np.random.default_rng(7)
+    edges = [info.min, info.min + 1, -2, -1, 0, 1, info.max - 1, info.max]
+    column = np.concatenate([edges, rng.integers(info.min, info.max, size=300, endpoint=True)]).astype(dtype)
+    values = np.stack([np.roll(column, j) for j in range(len(orders))], axis=-1)
+    got = module.reduce(values)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[int(v) % o for v, o in zip(row, orders)] for row in values.tolist()]
+    if len(orders) == 1:  # a flat vector of a rank-1 module
+        assert module.reduce(column).tolist() == [int(v) % orders[0] for v in column.tolist()]
+
+
+def test_reduce_reads_values_strictly():
+    module = ModuleOverZn.cyclic(4)
+    assert module.reduce([5, -1]).tolist() == [1, 3]
+    for values in ([1.5], [True], np.array([1.0, 2.0], dtype=np.float32)):
+        with pytest.raises(ValueError, match="module value"):
+            module.reduce(values)
+
+
+def int_differential(f):
+    """df from the module docstring's formula in Python ints, reduced by %."""
+    m, i = f.group.order, f.degree
+    mul, mats, orders, table = f.group.mul.tolist(), f.coeffs.matrices.tolist(), f.module.orders, f.values.tolist()
+
+    def at(gs):
+        return table[functools.reduce(lambda acc, g: acc * m + g, gs, 0)]
+
+    out = []
+    for g in itertools.product(range(m), repeat=i + 1):
+        tail = at(g[1:])
+        total = [sum(a * b for a, b in zip(row, tail)) for row in mats[g[0]]]
+        faces = [((-1) ** k, at(g[: k - 1] + (mul[g[k - 1]][g[k]],) + g[k + 1 :])) for k in range(1, i + 1)]
+        for sign, face in faces + [((-1) ** (i + 1), at(g[:i]))]:
+            total = [t + sign * v for t, v in zip(total, face)]
+        out.append([t % o for t, o in zip(total, orders)])
+    return out
+
+
+def extreme_cochain(coeffs, degree, rng):
+    """A cochain whose values are mostly 0 or order - 1, so that sums of faces reach their bounds."""
+    orders = np.array(coeffs.module.orders)
+    size = (coeffs.group.order**degree, coeffs.module.rank)
+    pick = rng.integers(0, 3, size=size)
+    values = np.where(pick == 0, orders - 1, np.where(pick == 1, 0, rng.integers(0, orders, size=size)))
+    return Cochain(coeffs, degree, values)
+
+
+@pytest.mark.parametrize(
+    "n, twisted, dtype",
+    [
+        # trivial: the bound (i + 2)·n of a degree-3 d crosses 2^15 between 6553 and 6554
+        (6553, False, np.int16),
+        (6554, False, np.int32),
+        (20000, False, np.int32),
+        (65535, False, np.int32),
+        (65536, False, np.int32),
+        # twisted by -1: face 0 is bounded by n², so n² + 4n crosses 2^15 and 2^31
+        (179, True, np.int16),
+        (180, True, np.int32),
+        (46338, True, np.int32),
+        (46339, True, np.int64),
+        (65535, True, np.int64),
+        (65536, True, np.int64),
+    ],
+)
+def test_differential_at_the_narrow_dtype_boundaries(n, twisted, dtype):
+    s3 = symmetric3()
+    coeffs = (
+        GModuleAction.by_character(s3_sign_hom(s3, Z2), ModuleOverZn.cyclic(n), n - 1) if twisted else triv(s3, n)
+    )
+    rng = np.random.default_rng(n)
+    f = extreme_cochain(coeffs, 3, rng)
+    assert _coboundary(f).dtype == dtype
+    assert differential(f).values.tolist() == int_differential(f)
+
+
+@pytest.mark.parametrize("n", [10922, 10923, 65535, 65536])
+def test_solve_differential_at_the_narrow_dtype_boundaries(n):
+    # d of a degree-1 cochain is bounded by 3n, which crosses 2^15 between 10922 and 10923
+    coeffs = triv(symmetric3(), n)
+    rng = np.random.default_rng(n)
+    target = differential(extreme_cochain(coeffs, 1, rng))
+    x = solve_differential(coeffs, 1, target)
+    assert x is not None and differential(x) == target
+    # one entry moved by n - 1 at first entry 3, outside S = {1, 2}: only the full check sees it
+    values = target.values.copy()
+    values[3 * 6 + 1] += n - 1
+    assert solve_differential(coeffs, 1, Cochain(coeffs, 2, values)) is None
+
+
+@pytest.mark.parametrize("n", [181, 182, 16383, 16384, 32767, 32768, 65535, 65536])
+def test_cochain_arithmetic_at_the_narrow_dtype_boundaries(n):
+    # a sum's bound 2n crosses 2^15 after 16383, a difference's n after
+    # 32767, a scalar multiple's n² after 181; expected by Python-int %
+    coeffs = triv(symmetric3(), n)
+    rng = np.random.default_rng(n)
+    f, g = extreme_cochain(coeffs, 2, rng), extreme_cochain(coeffs, 2, rng)
+    fs, gs = [v for (v,) in f.values.tolist()], [v for (v,) in g.values.tolist()]
+    assert (f + g).values.tolist() == [[(a + b) % n] for a, b in zip(fs, gs)]
+    assert (f - g).values.tolist() == [[(a - b) % n] for a, b in zip(fs, gs)]
+    assert (-f).values.tolist() == [[-a % n] for a in fs]
+    for scalar in (n - 1, -1, 3 * n + 2, 2**70 + 1):
+        assert (scalar * f).values.tolist() == [[scalar * a % n] for a in fs]
 
 
 def test_scalar_multiples_read_the_scalar_strictly():

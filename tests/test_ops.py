@@ -13,12 +13,14 @@ from arithcs.cochains import (
     _scaled_differential,
     classify,
     differential,
+    pullback,
 )
 from arithcs.groups import (
     GModuleAction,
     NotAHomError,
     cyclic,
     dihedral4,
+    identity_hom,
     klein_four,
     make_hom,
     quaternion8,
@@ -479,3 +481,127 @@ def test_kummer_sign_identity_d_of_minus_alpha_cup_b():
     assert differential(b) == pullback(red, carry_cocycle(2))
     t = -cup(alpha_p, b)
     assert differential(t) == pullback(red, cyclic_three_cocycle(2))
+
+
+# ---------------------------------------------------------------------------
+# narrow-dtype boundaries: each kernel sums in the narrowest dtype that holds
+# its bound, so each is checked at moduli where that dtype changes, against
+# references in Python ints reduced by %
+
+
+def flat(gs, m):
+    return functools.reduce(lambda acc, g: acc * m + g, gs, 0)
+
+
+def extreme_cochain(coeffs, degree, rng):
+    """A cochain whose values are mostly 0 or order - 1, so that sums reach their bounds."""
+    orders = np.array(coeffs.module.orders)
+    size = (coeffs.group.order**degree, coeffs.module.rank)
+    pick = rng.integers(0, 3, size=size)
+    values = np.where(pick == 0, orders - 1, np.where(pick == 1, 0, rng.integers(0, orders, size=size)))
+    return Cochain(coeffs, degree, values)
+
+
+def minus_one(hom, n):
+    """Z/n on which the elements outside the kernel of ``hom`` act by -1."""
+    return GModuleAction.by_character(hom, ModuleOverZn.cyclic(n), n - 1)
+
+
+@pytest.mark.parametrize(
+    "twisted, moduli",
+    # n² crosses 2^15 after 181 and 2^31 after 46340; acted on, n³ after 31 and 1290
+    [(False, [181, 182, 183, 46340, 46341, 46342, 65535, 65536]), (True, [31, 32, 1290, 1291, 1292, 65535, 65536])],
+)
+def test_cup_at_the_narrow_dtype_boundaries(twisted, moduli):
+    s3 = symmetric3()
+    for n in moduli:
+        rng = np.random.default_rng(n)
+        act = minus_one(s3_sign_hom(s3, cyclic(2)), n) if twisted else triv(s3, n)
+        x, y = extreme_cochain(triv(s3, n), 1, rng), extreme_cochain(act, 2, rng)
+        xs, ys, units = x.values.tolist(), y.values.tolist(), act.matrices[:, 0, 0].tolist()
+        expected = [
+            [xs[g][0] * units[g] * ys[flat((h, k), 6)][0] % n] for g, h, k in itertools.product(range(6), repeat=3)
+        ]
+        assert cup(x, y).values.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "twisted, moduli",
+    # n crosses 2^15 after 32767; acted on, n² after 181 and 2^31 after 46340
+    [(False, [32767, 32768, 65535, 65536]), (True, [181, 182, 183, 1000, 46340, 46341, 65535, 65536])],
+)
+def test_conjugate_at_the_narrow_dtype_boundaries(twisted, moduli):
+    s3 = symmetric3()
+    for n in moduli:
+        act = minus_one(s3_sign_hom(s3, cyclic(2)), n) if twisted else triv(s3, n)
+        f = extreme_cochain(act, 2, np.random.default_rng(n))
+        fs, units = f.values.tolist(), act.matrices[:, 0, 0].tolist()
+        for a in range(6):
+            inv = s3.inv(a)
+            expected = [
+                [units[inv] * fs[flat([s3.op(s3.op(a, g), inv) for g in gs], 6)][0] % n]
+                for gs in itertools.product(range(6), repeat=2)
+            ]
+            assert conjugate(f, a).values.tolist() == expected
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("n", [5461, 5462, 10922, 10923, 20000, 65535, 65536])
+def test_homotopy_at_the_narrow_dtype_boundaries(twisted, n):
+    # binomial(deg f, k) terms below n: 6n (degree 4, k = 2) crosses 2^15 after
+    # 5461, 3n (degree 3, k = 1) after 10922
+    s3 = symmetric3()
+    act = minus_one(s3_sign_hom(s3, cyclic(2)), n) if twisted else triv(s3, n)
+    rng = np.random.default_rng(n)
+    for degree, avec in ((3, [4]), (4, [2, 5])):
+        f = extreme_cochain(act, degree, rng)
+        fs, n_out = f.values.tolist(), degree - len(avec)
+        expected = [
+            [
+                sum(
+                    path.sign * fs[flat(path_term_tuple(path, avec, list(xs), s3), 6)][0]
+                    for path in shuffle_paths(n_out, len(avec))
+                )
+                % n
+            ]
+            for xs in itertools.product(range(6), repeat=n_out)
+        ]
+        assert homotopy(avec, f).values.tolist() == expected
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("n", [32767, 32768, 65535, 65536])
+def test_pullback_at_the_narrow_dtype_boundaries(twisted, n):
+    # values below n are gathered in int16 up to n = 32767
+    s3, z2 = symmetric3(), cyclic(2)
+    sign = s3_sign_hom(s3, z2)
+    act = minus_one(identity_hom(z2), n) if twisted else triv(z2, n)
+    f = extreme_cochain(act, 3, np.random.default_rng(n))
+    fs, rho = f.values.tolist(), sign.map.tolist()
+    got = pullback(sign, f)
+    assert got.values.tolist() == [fs[flat([rho[g] for g in gs], 2)] for gs in itertools.product(range(6), repeat=3)]
+    assert got.coeffs == (minus_one(sign, n) if twisted else triv(s3, n))
+
+
+@pytest.mark.parametrize("n", [90, 91, 104, 105, 181, 182, 256])
+def test_bockstein_at_the_narrow_dtype_boundaries(n):
+    # d over Z/n² of a degree-1 (degree-2) lift is bounded by 3n² (4n²), which
+    # crosses 2^15 after 104 (90); its values, below n², are divided in int16
+    # up to n = 181
+    s3 = symmetric3()
+    mul, coeffs = s3.mul.tolist(), triv(s3, n)
+    rng = np.random.default_rng(n)
+    for degree in (1, 2):
+        f = differential(extreme_cochain(coeffs, degree - 1, rng))  # a coboundary, so a cocycle
+        fs = [v for (v,) in f.values.tolist()]
+        lifted = []  # d of the lift over Z, face by face
+        for g in itertools.product(range(6), repeat=degree + 1):
+            total = fs[flat(g[1:], 6)] + (-1) ** (degree + 1) * fs[flat(g[:degree], 6)]
+            for k in range(1, degree + 1):
+                total += (-1) ** k * fs[flat(g[: k - 1] + (mul[g[k - 1]][g[k]],) + g[k + 1 :], 6)]
+            lifted.append(total % (n * n))
+        assert all(v % n == 0 for v in lifted)
+        assert bockstein(f).values.tolist() == [[v // n] for v in lifted]
+        bumped = Cochain(coeffs, degree, f.values + np.eye(6**degree, 1, -1, dtype=np.int64))  # f + 1 at row 1
+        with pytest.raises(NotDivisibleError):
+            bockstein(bumped)
