@@ -7,12 +7,12 @@ conjugations, pullbacks and homotopies are gathers along its axes.  The flat
 (|G|^i, rank M) table, whose row is the index of a tuple in lexicographic
 order with g_1 most significant, is that tensor's C-order ravel; the rows of
 the matrix of d are numbered the same way.  The table is int64 with entries
-reduced, but the kernels that compute one (d, ``pullback``, the operations
-of ``ops``, and sums, differences and scalar multiples of cochains) gather
-and sum a narrow copy of their inputs, in the narrowest signed dtype that
-holds the bound of the sum (``_narrow_dtype``: int16 for d of a degree-3
-cochain up to n = 6553), and ``Cochain`` reduces that in its own dtype
-before converting it to int64 once.  The differential is the signed one:
+reduced, but the kernels that compute one (d, ``pullback`` and the
+operations of ``ops``) gather and sum a narrow copy of their inputs, in the
+narrowest signed dtype that holds the bound of the sum (``_narrow_dtype``:
+int16 for d of a degree-3 cochain up to n = 6553), and ``Cochain`` reduces
+that in its own dtype before converting it to int64 once.  The differential
+is the signed one:
 
     df(g_1, ..., g_{i+1}) = g_1 f(g_2, ..., g_{i+1})
         + sum_{k=1}^{i} (-1)^k f(g_1, ..., g_k g_{k+1}, ..., g_{i+1})
@@ -107,22 +107,17 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        dtype = _narrow_dtype(2 * self.module.modulus)  # a sum of two values in [0, n)
-        return Cochain(self.coeffs, self.degree, self.values.astype(dtype) + other.values.astype(dtype))
+        return Cochain(self.coeffs, self.degree, self.values + other.values)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        dtype = _narrow_dtype(self.module.modulus)  # a difference of two values in [0, n)
-        return Cochain(self.coeffs, self.degree, self.values.astype(dtype) - other.values.astype(dtype))
+        return Cochain(self.coeffs, self.degree, self.values - other.values)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.coeffs, self.degree, -self.values.astype(_narrow_dtype(self.module.modulus)))
+        return Cochain(self.coeffs, self.degree, -self.values)
 
     def __rmul__(self, scalar: int) -> "Cochain":
-        # every order divides n, so the scalar acts mod n: a product below n²
-        n = self.module.modulus
-        dtype = _narrow_dtype(n * n)
-        return Cochain(self.coeffs, self.degree, dtype(_element(scalar, "scalar") % n) * self.values.astype(dtype))
+        return Cochain(self.coeffs, self.degree, _element(scalar, "scalar") * self.values)
 
     def _check_compatible(self, other: "Cochain"):
         if self.coeffs != other.coeffs or self.degree != other.degree:

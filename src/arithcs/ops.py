@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochains import Cochain, DegreeBoundError, _tensor, differential
+from .cochains import DEFAULT_DEGREE_CAP, Cochain, DegreeBoundError, _coboundary, _tensor
 from .groups import GModuleAction, conjugation_hom, cyclic
 from .zmod import (
     MAX_MODULUS,
@@ -97,25 +97,27 @@ def bockstein(f: Cochain) -> Cochain:
 
     Lifts values through the standard section (i mod n -> i mod n^2), applies
     d over Z/n^2, and divides by n.  On the identity character of Z/n this is
-    the carry cocycle [i + j >= n].  The values of d over Z/n^2 lie in
-    [0, n^2) and are tested and divided in a dtype that holds n^2.
+    the carry cocycle [i + j >= n].  The lift's values lie in [0, n), so its
+    d over Z is ``_coboundary(f)``, unreduced, in a dtype that holds its
+    bound (i + 2)·n.  For D that d, divisible by n, (D mod n^2) / n = D / n
+    mod n, so D is tested and divided by n there, with no lift and no
+    reduction mod n^2.
     """
     if not _is_scalar(f):
         raise IncompatiblePairingError("bockstein needs Z/n coefficients with trivial action")
     n = f.module.modulus
     if n * n > MAX_MODULUS:
         raise ValueError(f"bockstein needs n^2 <= {MAX_MODULUS}")
-    lifted_coeffs = GModuleAction.trivial(f.group, ModuleOverZn.cyclic(n * n))
-    lifted = Cochain(lifted_coeffs, f.degree, f.values)
-    dtype = _narrow_dtype(n * n)
-    db = _tensor(differential(lifted)).astype(dtype)
+    if f.degree + 1 > DEFAULT_DEGREE_CAP:
+        raise DegreeBoundError(f"bockstein output degree {f.degree + 1} exceeds cap {DEFAULT_DEGREE_CAP}")
+    db = _coboundary(f)
     bad = _floor_mod(db, n).any(axis=-1)
     if bad.any():
         witness = tuple(int(g) for g in np.unravel_index(np.flatnonzero(bad)[0], bad.shape))
         raise NotDivisibleError(
             f"d of the lift is not divisible by {n} at tuple {witness}; the input is not a cocycle"
         )
-    return Cochain(f.coeffs, f.degree + 1, db // dtype(n))
+    return Cochain(f.coeffs, f.degree + 1, db // db.dtype.type(n))
 
 
 def conjugate(f: Cochain, a: int) -> Cochain:

@@ -9,6 +9,7 @@ import pytest
 from arithcs.cochains import (
     Cochain,
     Coboundary,
+    DegreeBoundError,
     NonCocycle,
     _scaled_differential,
     classify,
@@ -189,6 +190,12 @@ def test_bockstein_rejects_non_cocycle():
     coeffs = triv(cyclic(4), 4)
     f = Cochain(coeffs, 1, [[0], [1], [0], [0]])  # not a homomorphism
     with pytest.raises(NotDivisibleError):
+        bockstein(f)
+
+
+def test_bockstein_keeps_the_degree_cap():
+    f = Cochain.zero(triv(cyclic(2), 2), 4)
+    with pytest.raises(DegreeBoundError, match="exceeds cap 4"):
         bockstein(f)
 
 
@@ -583,11 +590,8 @@ def test_pullback_at_the_narrow_dtype_boundaries(twisted, n):
     assert got.coeffs == (minus_one(sign, n) if twisted else triv(s3, n))
 
 
-@pytest.mark.parametrize("n", [90, 91, 104, 105, 181, 182, 256])
-def test_bockstein_at_the_narrow_dtype_boundaries(n):
-    # d over Z/n² of a degree-1 (degree-2) lift is bounded by 3n² (4n²), which
-    # crosses 2^15 after 104 (90); its values, below n², are divided in int16
-    # up to n = 181
+@pytest.mark.parametrize("n", [2, 3, 181, 256])
+def test_bockstein_matches_python_ints(n):
     s3 = symmetric3()
     mul, coeffs = s3.mul.tolist(), triv(s3, n)
     rng = np.random.default_rng(n)
