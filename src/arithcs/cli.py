@@ -42,13 +42,13 @@ SEED_HELP = (
 
 
 def _load_main(path, cls):
-    """The document's main object, or its unique object of the wanted type."""
+    """The document's main object if of the wanted type, else its only object of that type."""
     doc = dataio.load_path(path)
     if doc.main is not None:
         obj = doc.resolve_main()
         if isinstance(obj, cls):
             return obj
-    return doc.first_of_type(cls)
+    return doc.only_of_type(cls)
 
 
 def _emit(text: str):

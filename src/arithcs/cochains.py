@@ -224,7 +224,7 @@ def pullback(rho: GroupHom, f: Cochain) -> Cochain:
 
 
 def _differential_matrix(coeffs: GModuleAction, i: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of d: C^i -> C^{i+1} on flattened coordinates, entries in [0, n).
+    """Matrix of d: C^i -> C^{i+1} on flattened coordinates, unreduced.
 
     With ``rows``, an array of flat (i+1)-tuple indices, only those tuples'
     rows are built, in that order.  The column blocks of a row are the flat
@@ -232,23 +232,25 @@ def _differential_matrix(coeffs: GModuleAction, i: int, rows: np.ndarray | None 
     ``arange(|G|^i)`` shaped (|G|,) * i, broadcast to (|G|,) * (i + 1),
     raveled and taken at the rows.  Face 0 reads the tail of the row's tuple,
     ``rows % |G|^i``, acted on by its first entry ``rows // |G|^i``.
-    Uncached, like ``_scaled_differential``: only factorizations of d are
-    kept.
+    Face 0 adds an action entry below n and the other i + 1 faces ±1 each,
+    so the matrix is built in ``_narrow_dtype(n + i + 1)`` and left
+    unreduced for its readers to reduce.  Uncached, like
+    ``_scaled_differential``: only factorizations of d are kept.
     """
     m = coeffs.group.order
     r = coeffs.module.rank
     tuples = np.arange(m ** (i + 1), dtype=np.int64) if rows is None else rows
     count = tuples.size
-    out = np.zeros((count, r, m**i, r), dtype=np.int64)
+    dtype = _narrow_dtype(coeffs.modulus + i + 1)
+    out = np.zeros((count, r, m**i, r), dtype=dtype)
     block = np.arange(count)
     first, tail = np.divmod(tuples, m**i)
     out[block, :, tail, :] = coeffs.matrices[first]
-    eye = np.eye(r, dtype=np.int64)
+    eye = np.eye(r, dtype=dtype)
     index = np.arange(m**i, dtype=np.int64).reshape((m,) * i)
     # within one face each row has one column block, so += never collides
     for sign, face in _faces(index, i, coeffs.group.mul):
         out[block, :, np.broadcast_to(face, (m,) * (i + 1)).ravel()[tuples], :] += sign * eye
-    out %= coeffs.modulus
     return out.reshape(count * r, m**i * r)
 
 
@@ -262,8 +264,21 @@ def _row_scales(coeffs: GModuleAction, tuples: int) -> np.ndarray:
 
 def _scaled(f: Cochain, rows: np.ndarray) -> np.ndarray:
     """f's values at the flat tuple indices ``rows``, flattened, each
-    coordinate scaled as in ``_scaled_differential``."""
-    return (f.values[rows] * _row_scales(f.coeffs, 1)).ravel() % f.coeffs.modulus
+    coordinate scaled as in ``_scaled_differential``, so below n."""
+    return (f.values[rows] * _row_scales(f.coeffs, 1)).ravel()
+
+
+def _scaled_rows(coeffs: GModuleAction, i: int, rows: np.ndarray) -> np.ndarray:
+    """``_differential_matrix(coeffs, i, rows)`` with row s times n / order(s),
+    so congruence mod n in each row is congruence mod the coordinate's order.
+
+    The scales are all 1 unless some order is below n, which is rare; only
+    then is d multiplied, in int64, which holds (n + i + 1)·n / 2.
+    """
+    d = _differential_matrix(coeffs, i, rows)
+    if min(coeffs.module.orders) < coeffs.modulus:
+        d = d * _row_scales(coeffs, rows.size)[:, None]
+    return d
 
 
 @functools.lru_cache(maxsize=None)
@@ -399,21 +414,11 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     exactly when its S rows vanish (Brown, *Cohomology of Groups*, on
     inhomogeneous cochains).  For a target that is not a cocycle the S rows
     say nothing, which is why ``solve_differential`` checks d x on all rows.
-    The same identity also cuts the columns: ``_cocycle_form`` finds Z^i
-    from a cocycle's values at first entries in S, so ``cohomology`` never
-    builds this matrix; solves and ``_factored_with_generator`` do.
-
-    An int64 array with entries in [0, n), to be passed to the ``zmod``
-    routines together with n = ``coeffs.modulus``.  Row s is multiplied by
-    n / order(s), so congruence mod n in each row is congruence mod the
-    coordinate's cyclic order.  Scaling and reduction happen in place, so
-    building d holds one copy of it, which only the caller keeps.
+    ``cohomology`` never builds this matrix (see ``_cocycle_form``); solves
+    and ``_factored_with_generator`` do.  Built by ``_scaled_rows``, for the
+    ``zmod`` routines with n = ``coeffs.modulus``; only the caller keeps it.
     """
-    rows = _generator_rows(coeffs.group, i + 1)
-    d = _differential_matrix(coeffs, i, rows)
-    d *= _row_scales(coeffs, rows.size)[:, None]
-    d %= coeffs.modulus
-    return d
+    return _scaled_rows(coeffs, i, _generator_rows(coeffs.group, i + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -421,14 +426,11 @@ def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
     """``factorize`` of ``_scaled_differential(coeffs, i)``, cached.
 
     The one cached form of d, whose dense generator rows are dropped once
-    factored.  Its k is the Howell form of Z^i, which seeded global
-    trivializations sample from (``cohomology`` finds the same k by
-    ``_cocycle_form``, without d, except in degree 0), and its ``solve``
-    serves every ``solve_differential`` on the target's generator rows, so
-    each d is built and eliminated once however many targets are solved
-    against it.
-    Its h, with one row per pivot and one column per generator-row
-    coordinate of C^(i+1), is in ``zmod._form_dtype``.
+    factored; over Z/2 it holds h and u as packed words alone.  Its k is the
+    Howell form of Z^i, which seeded global trivializations sample from
+    (``cohomology`` finds the same k by ``_cocycle_form``, without d, except
+    in degree 0), and its ``solve`` serves every ``solve_differential``, so
+    each d is built and eliminated once however many targets follow.
     """
     return factorize(_scaled_differential(coeffs, i), coeffs.modulus)
 
@@ -444,14 +446,14 @@ def _factored_with_generator(generator: Cochain) -> Factorization:
     cocycles; so the generator must be one.  ``local_invariant`` refuses an
     x that is not a cocycle and solves against the factorization of its
     place's generator, so each place's matrix is built and eliminated once
-    however many invariants follow; the dense d is freed before the
-    elimination.
+    however many invariants follow.  The column is appended in d's dtype.
     """
     coeffs = generator.coeffs
     if not differential(generator).is_zero():
         raise ValueError("the generator is not a cocycle")
     rows = _generator_rows(coeffs.group, generator.degree)
-    d = np.hstack([_scaled_differential(coeffs, generator.degree - 1), _scaled(generator, rows)[:, None]])
+    d = _scaled_differential(coeffs, generator.degree - 1)
+    d = np.hstack([d, _scaled(generator, rows)[:, None].astype(d.dtype)])
     return factorize(d, coeffs.modulus)
 
 
@@ -464,12 +466,11 @@ def solve_differential(coeffs: GModuleAction, degree: int, target: Cochain) -> C
     the representative of x + Z^degree reduced against the Howell form of
     Z^degree.  It depends on the solution set alone, so it equals the
     solution of the full system d x = target.  Only the first solve on a
-    differential (or a ``cohomology`` before it) eliminates d.  Every other
-    solution is x plus a cocycle, a combination of the rows of that
-    factorization's k.  The generator rows decide solvability only for a
-    cocycle target, so x is returned only if d x == target holds on every
-    row, checked by one differential of x.  The target must be a cochain on
-    ``coeffs`` of degree ``degree + 1``.
+    differential eliminates d.  Every other solution is x plus a combination
+    of the rows of that factorization's k.  The generator rows decide
+    solvability only for a cocycle target, so x is returned only if d x ==
+    target holds on every row, checked by one differential of x.  The target
+    must be a cochain on ``coeffs`` of degree ``degree + 1``.
     """
     if target.degree != degree + 1:
         raise ValueError("target degree must be degree + 1")
@@ -564,8 +565,8 @@ class CohomologyGroup:
         c, rem = _back_substitute(self.basis, f.values.reshape(1, -1), n)
         if rem.any():
             raise ValueError("not a cocycle")
-        moved = (c[0] @ self.transform) % n
-        return tuple(int(x) % d for x, d in zip(moved, self.invariant_factors))
+        # each invariant factor divides n
+        return tuple(int(x) % d for x, d in zip(c[0] @ self.transform, self.invariant_factors))
 
 
 def _cocycle_form(coeffs: GModuleAction, i: int) -> np.ndarray:
@@ -654,7 +655,8 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     kept = [j for j, d in enumerate(diag) if d > 1]
     invariant_factors = tuple(diag[j] for j in kept)
 
-    generators = tuple(Cochain(coeffs, degree, vec.reshape(m**degree, r)) for vec in (w[kept] @ basis) % n)
+    # Cochain reduces mod the orders, which divide n
+    generators = tuple(Cochain(coeffs, degree, vec.reshape(m**degree, r)) for vec in w[kept] @ basis)
     return CohomologyGroup(coeffs, degree, invariant_factors, generators, basis, v[:, kept])
 
 
@@ -671,9 +673,7 @@ def normalized_representative(f: Cochain) -> Cochain:
         return f
     # only the rows of d^(i-1) at the i-tuples with the identity in some position
     degenerate = np.flatnonzero((np.indices((f.group.order,) * i) == 0).any(axis=0))
-    a = _differential_matrix(f.coeffs, i - 1, degenerate)
-    a *= _row_scales(f.coeffs, degenerate.size)[:, None]
-    sol = solve_linear(a, _scaled(f, degenerate), f.coeffs.modulus)
+    sol = solve_linear(_scaled_rows(f.coeffs, i - 1, degenerate), _scaled(f, degenerate), f.coeffs.modulus)
     if sol is None:
         raise ValueError("no normalized representative in the coboundary class")
     return f - differential(Cochain(f.coeffs, i - 1, sol.particular))

@@ -75,11 +75,11 @@ class Document:
             raise ValidationError(f"main points at unknown object {self.main!r}")
         return self.objects[self.main]
 
-    def first_of_type(self, cls):
-        for name in sorted(self.objects):
-            if isinstance(self.objects[name], cls):
-                return self.objects[name]
-        raise ValidationError(f"document contains no {cls.__name__}")
+    def only_of_type(self, cls):
+        names = sorted(name for name, obj in self.objects.items() if isinstance(obj, cls))
+        if len(names) != 1:
+            raise ValidationError(f"no main {cls.__name__} and {len(names)} candidates: {', '.join(names) or 'none'}")
+        return self.objects[names[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +267,8 @@ def _build(kind: str, entry: dict, name: str, resolve):
         if "trivial" in entry:
             if entry["trivial"] is not True:
                 raise ValidationError(f"object {name!r}: field 'trivial' must be true, got {entry['trivial']!r}")
+            if "matrices" in entry:
+                raise ValidationError(f"object {name!r}: field 'trivial' excludes field 'matrices'")
             return GModuleAction.trivial(group, module)
         mats = _ints(entry, "matrices", name, 2)
         r = module.rank

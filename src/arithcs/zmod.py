@@ -3,48 +3,47 @@
 Everything downstream (cocycle membership, trivialization solving, cohomology
 group structure) reduces to the elimination steps implemented here, each
 written once.  ``_howell_rows`` computes the row Howell form with its
-transform and left kernel; it serves ``howell_form``, ``left_kernel`` and
-``factorize``.  Howell form is the unique canonical row form for Z/n-row
-spaces (Z/n is not a field), so it is used wherever membership in a row
-space has to be decided.  The rows of the Howell form of [mat | I] that are
-zero on mat's columns are the Howell form of the left kernel (Howell 1986;
-Storjohann and Mulders 1998), so one sweep over [mat | I] returns k in its
-final form; the rows above k are not reduced against it.  For n == 2 it
-eliminates on bit-packed rows (``_howell_rows_gf2``), for any other n on
-rows stored in the narrowest unsigned dtype that holds n - 1 (uint8 up to
+transform and left kernel for ``howell_form`` and ``left_kernel``.  Howell
+form is the unique canonical row form for Z/n-row spaces (Z/n is not a
+field), so it is used wherever membership in a row space has to be decided.
+The rows of the Howell form of [mat | I] that are zero on mat's columns are
+the Howell form of the left kernel (Howell 1986; Storjohann and Mulders
+1998), so one sweep over [mat | I] returns k in its final form; the rows
+above k are not reduced against it.  For n == 2 it eliminates on bit-packed
+rows (``_howell_rows_gf2``, whose words it unpacks), for any other n on rows
+stored in the narrowest unsigned dtype that holds n - 1 (uint8 up to
 n = 256, uint16 up to ``MAX_MODULUS``), updating only the columns where the
 pivot row is nonzero, in int64 (``_howell_rows_int64``); the two give equal
 results over Z/2.  Both return the form h in that dtype, the transform and
 kernel in int64.
 
-``factorize(a, n)`` keeps (h, u, k) of ``_howell_rows(a.T, n)`` as a
+``factorize(a, n)`` keeps (h, u, k) of the sweep over a.T as a
 ``Factorization``, whose k is the Howell form of the right kernel and whose
 ``solve`` answers a @ x == b for one b without eliminating again;
 ``solve_linear`` is factorize-then-solve and ``right_kernel`` is its k, so a
 caller that keeps the value (the cochain layer caches one per differential)
 factors a matrix once for any number of solves.  The particular solution is
-reduced against k, so it is the one representative of x + ker(a) that
-back-substitution leaves: it depends on the solution set alone, not on the
-rows of a or the order of the row operations.  Over Z/2 a solve XORs rows of
-h and u packed into uint64 words, u with the reduction folded in; over any
-other modulus it runs ``_back_substitute``, which reduces vectors against a
-Howell form (a zero remainder means membership), once against h and once
-against k.  ``cohomology`` also reads coordinates over the Howell rows of
-the cocycles with it.  The
-two-sided invariant-factor diagonalization ``diagonalize_mod`` of a
-quotient (Z/n)^w / rowspan gives ``cohomology`` its invariant factors,
-generators and coordinates; ``_clear`` clears its pivot columns, and its
-pivot rows through the transposed view.
+reduced against k, so it depends on the solution set alone, not on the rows
+of a or the order of the row operations.  Over Z/2, h and u stay the GF(2)
+engine's uint64 words, u with the reduction against k folded in, and a solve
+XORs rows of them; over any other modulus a solve runs ``_back_substitute``
+(a zero remainder means membership) against h and then k, as ``cohomology``
+does against the Howell rows of the cocycles.  ``diagonalize_mod``, the
+two-sided invariant-factor diagonalization of (Z/n)^w / rowspan, gives
+``cohomology`` its invariant factors, generators and coordinates; ``_clear``
+clears its pivot columns, and its pivot rows through the transposed view.
 
-Matrices are plain 2-D int64 array-likes with any integer entries, and the
-modulus n comes last: ``howell_form(a, n)``, ``solve_linear(a, b, n)``,
-``diagonalize_mod(a, n)``.  The routines reduce their inputs mod n
-themselves, never modify them and return new int64 arrays.  Integer
-arguments (moduli, cyclic orders) are read by ``_element``, and matrices,
-right-hand sides and the integer tables of the group layer (multiplication
-tables, maps, units) by its array counterpart ``_elements``;
-both refuse bools and floats instead of truncating them.  All arithmetic is
-exact; there is no floating point in this package.
+Matrices are 2-D integer arrays or array-likes, entries reduced or not, and
+the modulus n comes last: ``howell_form(a, n)``, ``solve_linear(a, b, n)``,
+``diagonalize_mod(a, n)``.  Only these routines reduce mod n: an integer
+array enters in its own dtype, uncopied, and each reduces what it reads (the
+delayed reduction of Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), so a
+caller builds a matrix in a narrow dtype and never reduces it;
+``diagonalize_mod``, which works in place, makes its own int64 copy.  They
+never modify their inputs and return new int64 arrays.  ``_element`` reads
+integer arguments, and ``_elements`` other matrices, right-hand sides and
+the group layer's tables; both refuse bools and floats instead of truncating
+them.  All arithmetic is exact; there is no floating point in this package.
 
 Cochain kernels are not matrices: they gather and sum module values in the
 narrowest signed dtype that holds their bound (``_narrow_dtype``), and
@@ -54,7 +53,6 @@ the floor identity of ``_floor_mod`` before converting it to int64.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from math import gcd
@@ -208,9 +206,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _matrix(a, n: int) -> tuple[np.ndarray, int]:
-    """``a`` read by ``_elements`` as a 2-D int64 array, ``n`` checked as a modulus."""
+    """``a`` as a 2-D integer array, an integer dtype kept, and ``n`` checked as a modulus."""
     n = _check_modulus(n)
-    a = _elements(a, "matrix entry")
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
+        a = _elements(a, "matrix entry")
     if a.ndim != 2:
         raise ValueError(f"matrix entries must be two-dimensional, got {a.ndim} dimensions")
     return a, n
@@ -257,13 +256,14 @@ def _howell_rows(mat: np.ndarray, n: int):
     sweep over the columns of [mat | I] gives all three: h | u are the rows
     with a pivot in mat's columns and k those with one in I's columns; the
     sweep does not reduce h | u against k.  h has dtype ``_form_dtype(n)``,
-    u and k are int64.  ``mat`` may have any integer dtype, so a caller can
-    build it in ``_form_dtype(n)``.  Over Z/2 the bit-packed
-    ``_howell_rows_gf2`` runs; every other modulus runs
-    ``_howell_rows_int64`` on ``_form_dtype(n)`` rows.  Both return the same
-    arrays for n == 2.
+    u and k are int64.  ``mat`` may have any integer dtype and any entries.
+    Over Z/2 the words of ``_howell_rows_gf2`` are unpacked here, and any
+    other modulus runs ``_howell_rows_int64``; both agree for n == 2.
     """
-    return _howell_rows_gf2(mat) if n == 2 else _howell_rows_int64(mat, n)
+    if n != 2:
+        return _howell_rows_int64(mat, n)
+    h, u, k, _ = _howell_rows_gf2(mat)
+    return _unpack(h, mat.shape[1], _form_dtype(2)), _unpack(u, len(mat)), _unpack(k, len(mat))
 
 
 def _form_dtype(n: int) -> type:
@@ -369,7 +369,9 @@ def _unpack(words: np.ndarray, width: int, dtype=np.int64) -> np.ndarray:
 
 
 def _howell_rows_gf2(mat: np.ndarray):
-    """``_howell_rows`` over Z/2 on bit-packed rows, equal to the int64 engine.
+    """``_howell_rows`` over Z/2 on bit-packed rows, equal to the int64 engine:
+    h, u and k as ``_pack`` words, and the pivot column of each row, h's
+    among mat's columns and k's among I's.
 
     Every pivot over GF(2) is 1, so the int64 engine's gcd step, unit
     scaling and annihilator rows never fire: each pivot column is one row
@@ -385,6 +387,7 @@ def _howell_rows_gf2(mat: np.ndarray):
     work = _pack(mat, 64 * split + nrows)
     i = np.arange(nrows)
     work[i, split + (i >> 6)] = np.uint64(1) << (i & 63).astype(np.uint64)
+    lead = np.empty(nrows, dtype=np.intp)
     r = top = 0
     for w in range(work.shape[1]):
         if w == split:
@@ -406,11 +409,13 @@ def _howell_rows_gf2(mat: np.ndarray):
             others = hits[hits != p]
             if others.size:
                 work[others, w:] ^= work[r, w:]
+            lead[r] = 64 * w + bit
             r += 1
             done = bit + 1
     # [mat | I] has full rank, so every row ends as a pivot row
-    h, u, k = work[:top, :split], work[:top, split:], work[top:, split:]
-    return _unpack(h, ncols, _form_dtype(2)), _unpack(u, nrows), _unpack(k, nrows)
+    lead[top:] -= 64 * split
+    # copies, so that a factorization that keeps the words does not keep work
+    return work[:top, :split].copy(), work[:top, split:].copy(), work[top:, split:].copy(), lead
 
 
 def howell_form(a, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -469,72 +474,53 @@ class LinearSolution:
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """(h, u, k) of ``_howell_rows(a.T, n)``: a factored once, for many solves.
+    """(h, u, k) of the sweep over a.T: a factored once, for many solves.
 
-    h is the Howell form of a's column space in dtype ``_form_dtype(n)``,
-    u @ a.T == h, and k (int64) is the Howell form of the right kernel of a,
-    as the one sweep of ``_howell_rows`` returns it.  So k depends on that
-    kernel alone, whichever rows of a generated it.  The constructor only
-    makes the arrays read-only, so one value can be shared by every caller.
-    h and u are not reduced against k, so ``solve`` reduces its solution
-    against k.  Over Z/2 the first ``solve`` instead folds k into u while
-    packing h and u into uint64 words (``_packed``), so a factorization that
-    is never solved holds no second copy of them.
+    h is the Howell form of a's column space, u @ a.T == h, and k (int64) is
+    the Howell form of the right kernel of a, so k depends on that kernel
+    alone, whichever rows of a generated it.  ``shape`` is a's.  Over Z/2, h
+    and u are uint64 ``_pack`` words, u reduced against k (see
+    ``factorize``), and ``lead`` holds h's pivot columns, which the words do
+    not show; otherwise h is in ``_form_dtype(n)``, u in int64, and ``lead``
+    is None.  The arrays are made read-only, so callers share one value.
     """
 
     h: np.ndarray
     u: np.ndarray
     k: np.ndarray
     modulus: int
+    shape: tuple[int, int]
+    lead: np.ndarray | None = None
 
     def __post_init__(self):
-        for a in (self.h, self.u, self.k):
-            _freeze(a)
-
-    @functools.cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pivot columns of h, h as ``_pack`` words, and u as words with
-        each row reduced against k (Z/2 only).
-
-        Over Z/2 the Howell form k is reduced row echelon, so reducing a
-        vector against it XORs in the rows of k whose pivot column holds a 1
-        in that vector: a linear map.  The XOR of reduced rows of u is then
-        the reduced XOR of those rows, and a solve reduces nothing itself.
-        """
-        u = _pack(self.u, self.u.shape[1])
-        for row, col in zip(_pack(self.k, self.k.shape[1]), _leading(self.k)):
-            u[self.u[:, col] != 0] ^= row
-        return _leading(self.h), _pack(self.h, self.h.shape[1]), u
+        for a in (self.h, self.u, self.k, self.lead):
+            if a is not None:
+                _freeze(a)
 
     def solve(self, b) -> LinearSolution | None:
         """Solve a @ x == b; None means no solution exists.
 
         The particular solution is canonical: a solution by back-reduction
-        against h, then reduced against the Howell form k by
-        ``_back_substitute``.  By the Howell property that remainder is the
-        same for every element of x + span(k), so it depends only on the
-        solution set, not on the engine or on the order of a's rows.
-        kernel_basis is k, so the solution set is particular + span(kernel).
-        Any modulus other than 2 runs ``_back_substitute`` twice.  Over Z/2,
-        h is reduced row echelon: every pivot is 1 and the only 1 of its
-        column.  So the coefficients of that reduction are b's entries at the
-        pivot columns, and the solve XORs the selected rows of the packed h,
-        which must give b, and of the packed and reduced u, which gives the
-        solution.
+        against h, then reduced against the Howell form k, which by the
+        Howell property depends only on the solution set particular +
+        span(kernel_basis), kernel_basis being k.  Any modulus but 2 runs
+        ``_back_substitute`` twice.  Over Z/2, h is reduced row echelon, so
+        the coefficients of that reduction are b's entries at h's pivot
+        columns: the solve XORs the selected words of h, which must give b,
+        and of u, which gives the solution, already reduced.
         """
         n = self.modulus
         b = _elements(b, "right-hand side entry").ravel()
-        if b.shape[0] != self.h.shape[1]:
+        if b.shape[0] != self.shape[0]:
             raise ValueError("dimension mismatch between matrix and right-hand side")
         if n == 2:
-            lead, h_words, u_words = self._packed
             # & 1 is % 2 for negative entries too; every word operand is uint64
             bits = b & 1
-            sel = np.flatnonzero(bits[lead])
-            if (np.bitwise_xor.reduce(h_words[sel]) != _pack(bits[None, :], bits.size)[0]).any():
+            sel = np.flatnonzero(bits[self.lead])
+            if (np.bitwise_xor.reduce(self.h[sel]) != _pack(bits[None, :], bits.size)[0]).any():
                 return None
-            x = np.bitwise_xor.reduce(u_words[sel])
-            return LinearSolution(particular=_unpack(x[None, :], self.u.shape[1])[0], kernel_basis=self.k)
+            x = np.bitwise_xor.reduce(self.u[sel])
+            return LinearSolution(particular=_unpack(x[None, :], self.shape[1])[0], kernel_basis=self.k)
         coeff, rem = _back_substitute(self.h, b[None, :], n)
         if rem.any():
             return None
@@ -544,9 +530,20 @@ class Factorization:
 
 def factorize(a, n: int) -> Factorization:
     """Factor a over Z/n once; ``solve`` then costs one packed XOR over Z/2
-    and two back-substitutions over any other modulus."""
+    and two back-substitutions over any other modulus.
+
+    Over Z/2 only k is unpacked.  k is reduced row echelon, so reducing a
+    vector against it XORs in the rows of k whose pivot holds a 1 in it;
+    that linear map is folded into the words of u here, once.
+    """
     a, n = _matrix(a, n)
-    return Factorization(*_howell_rows(a.T, n), n)
+    if n != 2:
+        return Factorization(*_howell_rows(a.T, n), n, a.shape)
+    h, u, k, lead = _howell_rows_gf2(a.T)
+    for row, col in zip(k, lead[len(h) :]):
+        # the rows of k are zero at each other's pivots, so the folds commute
+        u[(u[:, col >> 6] >> np.uint64(col & 63) & np.uint64(1)) != 0] ^= row
+    return Factorization(h, u, _unpack(k, a.shape[1]), n, a.shape, lead[: len(h)])
 
 
 def solve_linear(a, b, n: int) -> LinearSolution | None:
@@ -611,7 +608,8 @@ def diagonalize_mod(mat: np.ndarray | list, n: int) -> tuple[list[int], np.ndarr
     entry, which is recomputed only for the rows an operation touched.
     """
     a, n = _matrix(mat, n)
-    a = a % n
+    # an int64 copy whatever a's dtype: the steps below multiply entries in place
+    a = np.asarray(a, dtype=np.int64) % n
     a = a[a.any(axis=1)]
     m, width = a.shape
     v = np.eye(width, dtype=np.int64)

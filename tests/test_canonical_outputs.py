@@ -34,7 +34,6 @@ from arithcs.zmod import (
     ModuleOverZn,
     _back_substitute,
     _howell_rows,
-    _howell_rows_gf2,
     _howell_rows_int64,
     diagonalize_mod,
     howell_form,
@@ -112,7 +111,7 @@ def test_howell_rows_returns_the_kernel_in_howell_form(n):
     # already the Howell form of the left kernel: eliminating it again is a no-op
     engines = [lambda mat: _howell_rows(mat, n)]
     if n == 2:
-        engines = [_howell_rows_gf2, lambda mat: _howell_rows_int64(mat, 2)]
+        engines.append(lambda mat: _howell_rows_int64(mat, 2))
     for engine in engines:
         for mat in random_matrices(n, 60, seed=2000 + n):
             k = engine(mat)[2]

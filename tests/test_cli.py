@@ -262,6 +262,26 @@ def test_malformed_request_exit_code(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("main", [None, "group1"])
+def test_an_object_picked_by_type_must_be_unique(capsys, tmp_path, main):
+    # two cochains and no main cochain: classify must not pick one by name
+    doc = json.loads((FIX / "carry_mod3.json").read_text())
+    doc["objects"]["cochain2"] = dict(doc["objects"]["cochain1"], values=[0] * 9)
+    if main is None:
+        del doc["main"]
+    else:
+        doc["main"] = main
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", "--cochain", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cochain1, cochain2" in err
+    # with one cochain left, the object of the wanted type is read as before
+    del doc["objects"]["cochain2"]
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "classify", "--cochain", path)[0] == 0
+
+
 def test_out_of_range_value_exits_2_without_traceback(capsys, tmp_path):
     doc = json.loads((FIX / "carry_mod3.json").read_text())
     cochain = next(v for v in doc["objects"].values() if v["type"] == "cochain")

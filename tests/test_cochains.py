@@ -70,16 +70,22 @@ def full_scaled(f):
 
 
 def spy_howell_rows(monkeypatch) -> list:
-    """Record the shape of every ``_howell_rows`` call, from zmod and from cochains."""
+    """Record the shape of every elimination: each call of either engine,
+    through ``_howell_rows`` or, for a Z/2 ``factorize``, of
+    ``_howell_rows_gf2`` directly."""
     shapes = []
-    howell_rows = zmod._howell_rows
+    int64_engine, gf2_engine = zmod._howell_rows_int64, zmod._howell_rows_gf2
 
-    def counting(mat, n):
+    def counting_int64(mat, n):
         shapes.append(mat.shape)
-        return howell_rows(mat, n)
+        return int64_engine(mat, n)
 
-    monkeypatch.setattr(zmod, "_howell_rows", counting)
-    monkeypatch.setattr(cochains, "_howell_rows", counting)
+    def counting_gf2(mat):
+        shapes.append(mat.shape)
+        return gf2_engine(mat)
+
+    monkeypatch.setattr(zmod, "_howell_rows_int64", counting_int64)
+    monkeypatch.setattr(zmod, "_howell_rows_gf2", counting_gf2)
     return shapes
 
 
@@ -150,7 +156,8 @@ def test_matrix_agrees_with_gather(coeffs):
     for degree in range(0, 3):
         full = full_scaled_differential(coeffs, degree)
         rows = _generator_rows(coeffs.group, degree + 1)
-        assert np.array_equal(_scaled_differential(coeffs, degree), full[(rows[:, None] * r + np.arange(r)).ravel()])
+        # the cached build is unreduced: its readers reduce it
+        assert np.array_equal(_scaled_differential(coeffs, degree) % n, full[(rows[:, None] * r + np.arange(r)).ravel()])
         for _ in range(5):
             f = Cochain.random(coeffs, degree, rng)
             assert np.array_equal((full @ f.values.reshape(-1)) % n, full_scaled(differential(f)))
@@ -330,6 +337,24 @@ def test_differential_at_the_narrow_dtype_boundaries(n, twisted, dtype):
     f = extreme_cochain(coeffs, 3, rng)
     assert _coboundary(f).dtype == dtype
     assert differential(f).values.tolist() == int_differential(f)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_differential_matrix_at_the_narrow_dtype_boundary(i, twisted):
+    # face 0 adds an entry below n, the other i + 1 faces add ±1 each, so the
+    # unreduced entries are bounded by n + i + 1, which crosses 2^15 here
+    s3 = symmetric3()
+    for n, dtype in [(2**15 - i - 2, np.int16), (2**15 - i - 1, np.int32)]:
+        coeffs = (
+            GModuleAction.by_character(s3_sign_hom(s3, Z2), ModuleOverZn.cyclic(n), n - 1) if twisted else triv(s3, n)
+        )
+        d = _differential_matrix(coeffs, i)
+        assert d.dtype == dtype
+        # column j is d of the j-th unit cochain, computed in int64 by the gather
+        units = np.eye(6**i, dtype=np.int64)
+        want = np.stack([differential(Cochain(coeffs, i, e)).values.ravel() for e in units], axis=1)
+        assert np.array_equal(d.astype(np.int64) % n, want)
 
 
 @pytest.mark.parametrize("n", [10922, 10923, 65535, 65536])
@@ -607,8 +632,8 @@ def test_factored_kernel_depends_on_row_spaces_alone(monkeypatch):
         _factored_differential.cache_clear()
         factored = _factored_differential(coeffs, degree)
         monkeypatch.undo()
-        # h has one column per row of the d it factored
-        assert factored.h.shape[1] == len(other) == len(d) + 1
+        # the factorization has one row per row of the d it factored
+        assert factored.shape[0] == len(other) == len(d) + 1
         assert factored.k.shape == want_k.shape and factored.k.tobytes() == want_k.tobytes()
     clear_cochain_caches()
 
@@ -774,7 +799,8 @@ def test_cached_solve_equals_dense_solve_linear(case, degree, coboundary, seed):
         target = Cochain.random(case, degree + 1, rng)
     got = solve_differential(case, degree, target)
     n = case.modulus
-    assert _factored_differential(case, degree).h.dtype == (np.uint8 if n <= 256 else np.uint16)
+    # packed words over Z/2, otherwise the narrowest unsigned dtype that holds n - 1
+    assert _factored_differential(case, degree).h.dtype == (np.uint64 if n == 2 else np.uint8 if n <= 256 else np.uint16)
     # the generator-row solve must equal the canonical solve of the full system
     want = solve_linear(full_scaled_differential(case, degree), full_scaled(target), n)
     assert (got is None) == (want is None)
@@ -955,6 +981,31 @@ def test_factored_differential_keeps_no_dense_copy(monkeypatch):
     assert _scaled_differential.cache_info().currsize == 0
     # the factorization is what stays cached
     assert _factored_differential(coeffs, 2).k is k and len(built) == 1
+
+
+def test_z2_factorization_holds_packed_words_alone(monkeypatch):
+    coeffs = triv(direct_product(quaternion8(), Z3), 2)
+    clear_cochain_caches()
+    unpacked = []
+    unpack = zmod._unpack
+
+    def recording(words, width, dtype=np.int64):
+        unpacked.append(words.shape)
+        return unpack(words, width, dtype)
+
+    monkeypatch.setattr(zmod, "_unpack", recording)
+    f = _factored_differential(coeffs, 2)
+    monkeypatch.undo()
+    rows, cols = f.shape
+    # S has 3 elements: 3 * 24^2 generator rows, 24^2 unknowns, several words each
+    assert (rows, cols) == (3 * 24**2, 24**2)
+    assert f.h.dtype == f.u.dtype == np.uint64
+    assert f.h.shape == (len(f.lead), -(-rows // 64)) and f.u.shape == (len(f.lead), -(-cols // 64))
+    # factoring unpacks k, which is the kernel basis of every solution, and nothing else
+    assert unpacked == [(f.k.shape[0], f.u.shape[1])]
+    target = differential(Cochain.random(coeffs, 2, np.random.default_rng(2)))
+    assert differential(solve_differential(coeffs, 2, target)) == target
+    clear_cochain_caches()
 
 
 def test_normalized_representative_builds_only_the_degenerate_rows(monkeypatch):

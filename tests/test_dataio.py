@@ -217,6 +217,8 @@ NOT_STRICT_INTEGERS = {
     "modulus_str": (CARRY3, "module", "modulus", "3"),
     "trivial_str": (CARRY3, "action", "trivial", "yes"),
     "trivial_false": (CARRY3, "action", "trivial", False),
+    # a trivial action with matrices as well would drop the matrices silently
+    "trivial_with_matrices": (CARRY3, "action", "matrices", [[1], [2], [1]]),
     "map_float": (toy_abelian_rho, "hom", "map", [0, 1, 0, 1.5]),
     "map_bool": (toy_abelian_rho, "hom", "map", [0, True, 0, True]),
     "matrices_float": (_sign_action, "action", "matrices", [[1]] * 3 + [[3.0]] * 2 + [[1]]),

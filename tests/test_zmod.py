@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from arithcs.zmod import (
     MAX_MODULUS,
+    LinearSolution,
     ModuleOverZn,
     _back_substitute,
     _form_dtype,
-    _howell_rows_gf2,
+    _howell_rows,
     _howell_rows_int64,
     _leading,
     _xgcd,
@@ -116,6 +117,64 @@ def test_matrix_entries_are_read_strictly():
         diagonalize_mod(np.eye(2) * 2.5, 4)
     # integer arrays of any integer dtype are read as before
     assert solve_linear(np.eye(2, dtype=np.uint8), np.array([1, 3], dtype=np.int16), 5).particular.tolist() == [1, 3]
+
+
+def same_bytes(got, want):
+    """Arrays, tuples and lists of them, and LinearSolutions, equal in dtype, shape and bytes."""
+    if isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same_bytes(g, w)
+    elif isinstance(want, LinearSolution):
+        same_bytes((got.particular, got.kernel_basis), (want.particular, want.kernel_basis))
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+def factorization_fields(f):
+    return f.h, f.u, f.k, f.modulus, f.shape, f.lead if f.lead is not None else np.zeros(0)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32])
+@pytest.mark.parametrize("n", [2, 3, 6, 181, 65536])
+def test_every_integer_dtype_reads_like_int64(dtype, n):
+    # matrices pass into the engines in their own dtype, uncopied; the results
+    # must be those of the int64 input, for entries below 0 and at or above n
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(n)
+    for shape in [(0, 3), (5, 7), (9, 4), (70, 66)]:
+        a = rng.integers(max(info.min, -3 * n), min(info.max, 3 * n), size=shape, endpoint=True)
+        a *= rng.random(shape) < 0.5
+        if a.size:
+            a.flat[0], a.flat[-1] = info.min, info.max
+        narrow, wide = a.astype(dtype), a.astype(np.int64)
+        b = wide @ rng.integers(0, n, size=shape[1]) % n
+        for fn in (howell_form, left_kernel, right_kernel, diagonalize_mod):
+            same_bytes(fn(narrow, n), fn(wide, n))
+        same_bytes(factorization_fields(factorize(narrow, n)), factorization_fields(factorize(wide, n)))
+        for rhs in (b, b + 1):
+            got, want = solve_linear(narrow, rhs, n), solve_linear(wide, rhs, n)
+            assert (got is None) == (want is None)
+            if want is not None:
+                same_bytes(got, want)
+        assert np.array_equal(narrow, a.astype(dtype))  # the input is not modified
+
+
+@pytest.mark.parametrize("n", [181, 251])
+def test_diagonalize_mod_on_int16_entries_whose_products_overflow_int16(n):
+    # entries near n: at n = 181 a product of two residues still fits int16
+    # (180² < 2^15), at n = 251 it does not, and only the int64 copy that
+    # diagonalize_mod makes of its input keeps the row and column operations exact
+    rng = np.random.default_rng(n)
+    for shape in [(6, 5), (12, 12), (20, 9)]:
+        a = rng.integers(n // 2, n, size=shape)
+        want = diagonalize_mod(a, n)
+        got = diagonalize_mod(a.astype(np.int16), n)
+        same_bytes(got, want)
+        _, v, w = got
+        assert np.array_equal(v @ w % n, np.eye(shape[1], dtype=np.int64))
 
 
 @pytest.mark.parametrize("a,n", [(0, 6), (2, 4), (3, 6), (4, 6), (10, 12), (8, 12)])
@@ -311,7 +370,7 @@ def test_gf2_engine_equals_int64_engine(rows, cols, data):
         entries = st.integers(0, 1) | st.integers(-5, 5) | st.sampled_from([-(1 << 40) - 1, 1 << 40])
         m = np.array(data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
         m = m.reshape(rows, cols)
-    packed, reference = _howell_rows_gf2(m), _howell_rows_int64(m, 2)
+    packed, reference = _howell_rows(m, 2), _howell_rows_int64(m, 2)
     for got, want in zip(packed, reference):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -570,17 +629,18 @@ def reference_back_substitute(h: np.ndarray, vecs: np.ndarray, n: int):
     return coeffs, res
 
 
-def reference_solve(f, b):
-    n = f.modulus
+def reference_solve(howell, b, n):
+    """Solve a @ x == b by back-substitution against (h, u, k) = ``_howell_rows(a.T, n)``."""
+    h, u, k = howell
     b = np.asarray(b, dtype=np.int64).ravel()
-    coeff, rem = reference_back_substitute(f.h, b[None, :], n)
+    coeff, rem = reference_back_substitute(h, b[None, :], n)
     if rem.any():
         return None
-    return reference_back_substitute(f.k, coeff @ f.u, n)[1][0]
+    return reference_back_substitute(k, coeff @ u, n)[1][0]
 
 
-def assert_same_solution(f, b):
-    got, want = f.solve(b), reference_solve(f, b)
+def assert_same_solution(f, howell, b):
+    got, want = f.solve(b), reference_solve(howell, b, f.modulus)
     assert (got is None) == (want is None)
     if got is not None:
         assert got.particular.dtype == want.dtype and got.particular.shape == want.shape
@@ -609,15 +669,15 @@ def test_packed_gf2_solve_equals_back_substitution(rows, cols, rank, density, se
         # a low-rank product, so that random targets are mostly unsolvable
         right = rng.integers(0, 2, size=(rank, cols)) * (rng.random((rank, cols)) < density)
         a = rng.integers(0, 2, size=(rows, rank)) @ right
-    f = factorize(a, 2)
-    # u holds one column per unknown, so cols >= 65 makes it wider than one word
-    assert f.u.shape[1] == cols
+    f, howell = factorize(a, 2), _howell_rows(a.T, 2)
+    # u holds one bit per unknown, so cols >= 65 makes it wider than one word
+    assert f.shape == (rows, cols) and f.u.shape[1] == -(-cols // 64)
     image = a @ rng.integers(0, 2, size=cols)
     for b in (image, rng.integers(0, 2, size=rows), np.zeros(rows, dtype=np.int64)):
-        assert_same_solution(f, b)
+        assert_same_solution(f, howell, b)
         # entries >= 2 and negative ones are read mod 2
-        assert_same_solution(f, b + 2 * rng.integers(-4, 5, size=rows))
-        assert_same_solution(f, -b)
+        assert_same_solution(f, howell, b + 2 * rng.integers(-4, 5, size=rows))
+        assert_same_solution(f, howell, -b)
     if rows and rank is not None and rank < rows:
         assert any(f.solve(rng.integers(0, 2, size=rows)) is None for _ in range(20))
 
@@ -629,12 +689,12 @@ def test_packed_gf2_solve_on_the_q8_times_z3_differential():
     coeffs = GModuleAction.trivial(direct_product(quaternion8(), cyclic(3)), ModuleOverZn.cyclic(2))
     # uncached: over a trivial Z/2 module d is its own scaled matrix
     d = _differential_matrix(coeffs, 2)
-    f = factorize(d, 2)
-    assert f.h.shape == (552, 13824)
+    f, howell = factorize(d, 2), _howell_rows(d.T, 2)
+    assert howell[0].shape == (552, 13824) and f.h.shape == (552, 13824 // 64)
     rng = np.random.default_rng(13)
     for _ in range(10):
         target = differential(Cochain.random(coeffs, 2, rng)).values.ravel()
-        sol = assert_same_solution(f, target)
+        sol = assert_same_solution(f, howell, target)
         assert sol is not None and np.array_equal(d @ sol.particular % 2, target)
     for _ in range(10):
-        assert assert_same_solution(f, Cochain.random(coeffs, 3, rng).values.ravel()) is None
+        assert assert_same_solution(f, howell, Cochain.random(coeffs, 3, rng).values.ravel()) is None
