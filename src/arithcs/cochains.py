@@ -46,6 +46,7 @@ from .zmod import (
     _narrow_dtype,
     diagonalize_mod,
     factorize,
+    howell_form,
     left_kernel,
     solve_linear,
 )
@@ -223,13 +224,13 @@ def pullback(rho: GroupHom, f: Cochain) -> Cochain:
 # The differential as an explicit matrix, and solving d x = target.
 
 
-def _differential_matrix(coeffs: GModuleAction, i: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of d: C^i -> C^{i+1} on flattened coordinates, unreduced.
+def _differential_matrix(coeffs: GModuleAction, i: int, rows: np.ndarray) -> np.ndarray:
+    """The rows of d: C^i -> C^{i+1} at the flat (i+1)-tuple indices
+    ``rows``, in that order, on flattened coordinates, unreduced.
 
-    With ``rows``, an array of flat (i+1)-tuple indices, only those tuples'
-    rows are built, in that order.  The column blocks of a row are the flat
-    i-tuple indices its faces read: ``_faces`` of the index tensor
-    ``arange(|G|^i)`` shaped (|G|,) * i, broadcast to (|G|,) * (i + 1),
+    ``np.arange(|G|^(i+1))`` gives the whole matrix.  The column blocks of a
+    row are the flat i-tuple indices its faces read: ``_faces`` of the index
+    tensor ``arange(|G|^i)`` shaped (|G|,) * i, broadcast to (|G|,) * (i + 1),
     raveled and taken at the rows.  Face 0 reads the tail of the row's tuple,
     ``rows % |G|^i``, acted on by its first entry ``rows // |G|^i``.
     Face 0 adds an action entry below n and the other i + 1 faces ±1 each,
@@ -239,18 +240,17 @@ def _differential_matrix(coeffs: GModuleAction, i: int, rows: np.ndarray | None 
     """
     m = coeffs.group.order
     r = coeffs.module.rank
-    tuples = np.arange(m ** (i + 1), dtype=np.int64) if rows is None else rows
-    count = tuples.size
+    count = rows.size
     dtype = _narrow_dtype(coeffs.modulus + i + 1)
     out = np.zeros((count, r, m**i, r), dtype=dtype)
     block = np.arange(count)
-    first, tail = np.divmod(tuples, m**i)
+    first, tail = np.divmod(rows, m**i)
     out[block, :, tail, :] = coeffs.matrices[first]
     eye = np.eye(r, dtype=dtype)
     index = np.arange(m**i, dtype=np.int64).reshape((m,) * i)
     # within one face each row has one column block, so += never collides
     for sign, face in _faces(index, i, coeffs.group.mul):
-        out[block, :, np.broadcast_to(face, (m,) * (i + 1)).ravel()[tuples], :] += sign * eye
+        out[block, :, np.broadcast_to(face, (m,) * (i + 1)).ravel()[rows], :] += sign * eye
     return out.reshape(count * r, m**i * r)
 
 
@@ -262,9 +262,13 @@ def _row_scales(coeffs: GModuleAction, tuples: int) -> np.ndarray:
     return np.tile(per, tuples)
 
 
-def _scaled(f: Cochain, rows: np.ndarray) -> np.ndarray:
+def _scaled(f: Cochain, rows: np.ndarray | slice) -> np.ndarray:
     """f's values at the flat tuple indices ``rows``, flattened, each
-    coordinate scaled as in ``_scaled_differential``, so below n."""
+    coordinate t times n / o_t as in ``_scaled_differential``, so below n.
+
+    This map of C^i into (Z/n)^(|G|^i·r) is injective, as o_t·(n / o_t) = n;
+    solve targets and the cocycles of ``cohomology`` are held by its values.
+    """
     return (f.values[rows] * _row_scales(f.coeffs, 1)).ravel()
 
 
@@ -427,10 +431,11 @@ def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
 
     The one cached form of d, whose dense generator rows are dropped once
     factored; over Z/2 it holds h and u as packed words alone.  Its k is the
-    Howell form of Z^i, which seeded global trivializations sample from
-    (``cohomology`` finds the same k by ``_cocycle_form``, without d, except
-    in degree 0), and its ``solve`` serves every ``solve_differential``, so
-    each d is built and eliminated once however many targets follow.
+    Howell form of Z^i on lifts, which seeded global trivializations sample
+    from (``cohomology`` finds the scaled Z^i by ``_cocycle_form``, without
+    d, except in degree 0, and so the same k when every order is n), and its
+    ``solve`` serves every ``solve_differential``, so each d is built and
+    eliminated once however many targets follow.
     """
     return factorize(_scaled_differential(coeffs, i), coeffs.modulus)
 
@@ -540,18 +545,21 @@ def classify(f: Cochain) -> Classification:
 class CohomologyGroup:
     """H^i(G, M) with invariant factors, generating cocycles, and coordinates.
 
-    The coordinates of a cocycle are its coefficients over ``basis``, the
-    Howell rows of Z^i, by back-substitution, followed by the columns of the
-    transform that diagonalizes the coboundary relations mod n, one per
-    invariant factor, so they are zero exactly on coboundaries and the
-    published generators map to the standard basis vectors.
+    ``basis`` and ``transform`` are in scaled coordinates (``_scaled``:
+    coordinate t times n / o_t), which are the plain values when every order
+    o_t is n.  The coordinates of a cocycle are the coefficients of its
+    scaled values over ``basis``, the Howell rows of the scaled Z^i, by
+    back-substitution, followed by the columns of the transform that
+    diagonalizes the coboundary relations mod n, one per invariant factor,
+    so they are zero exactly on coboundaries and the published generators
+    map to the standard basis vectors.
     """
 
     coeffs: GModuleAction = field(repr=False)
     degree: int
     invariant_factors: tuple[int, ...]
     generators: tuple[Cochain, ...] = field(repr=False)
-    basis: np.ndarray = field(repr=False)  # hZ, the Howell form of the cocycles Z^i
+    basis: np.ndarray = field(repr=False)  # hZ, the Howell form of the scaled cocycles Z^i
     transform: np.ndarray = field(repr=False)  # columns of diagonalize_mod's v, one per factor
 
     def is_trivial(self) -> bool:
@@ -562,7 +570,7 @@ class CohomologyGroup:
         if f.coeffs != self.coeffs or f.degree != self.degree:
             raise ValueError("cochain does not live in this cohomology group")
         n = self.coeffs.modulus
-        c, rem = _back_substitute(self.basis, f.values.reshape(1, -1), n)
+        c, rem = _back_substitute(self.basis, _scaled(f, slice(None))[None, :], n)
         if rem.any():
             raise ValueError("not a cocycle")
         # each invariant factor divides n
@@ -570,63 +578,70 @@ class CohomologyGroup:
 
 
 def _cocycle_form(coeffs: GModuleAction, i: int) -> np.ndarray:
-    """hZ, the Howell form of Z^i for i >= 1, without building d^i.
+    """hZ, the Howell form of the scaled cocycles Z^i for i >= 1, without
+    building d^i.
 
     A cocycle is fixed by its values y at first entries in S, and every y
     extends to a cochain E y by ``_extend``, which is a cocycle exactly when
-    its residual M y vanishes.  So over Z/n lifts, with the row scales of
-    ``_scaled_differential`` on M and O the rows o_t e_t of the coordinates
-    whose order o_t is below n, Z^i = E(ker M) + span(O).  The identity
-    batch, one s at a time, gives M^T and E(I) with U = |S|·|G|^(i-1)·r
-    rows, and one ``_howell_rows`` of [[M^T | E(I)]; [0 | O]], stored in
-    ``_form_dtype``, does the rest: by the Howell property its rows with a
-    pivot in the E(I) block, restricted to that block, are the Howell form
-    of the row space's intersection with 0 + (Z/n)^(|G|^i·r), which is
-    0 + Z^i.  A row space has one Howell form, so hZ equals the k of
+    its residual M y vanishes.  Both are held scaled, coordinate t times
+    n / o_t as in ``_scaled``, which is injective on cochains, so the scaled
+    Z^i is the scaled E(ker M) and needs no rows o_t·e_t for the coordinates
+    whose order o_t is below n.  The identity batch, one s at a time, gives
+    M^T and E(I) with U = |S|·|G|^(i-1)·r rows, and one ``_howell_rows`` of
+    [M^T | E(I)], stored in ``_form_dtype``, does the rest: by the Howell
+    property its rows with a pivot in the E(I) block, restricted to that
+    block, are the Howell form of the row space's intersection with
+    0 + (Z/n)^(|G|^i·r), which is 0 + Z^i scaled.  A row space has one Howell
+    form, so when every o_t is n hZ equals the k of
     ``_factored_differential(coeffs, i)`` byte for byte.
     """
     group, n, r = coeffs.group, coeffs.modulus, coeffs.module.rank
     m, gens = group.order, _generating_set(group)
     block = m ** (i - 1) * r  # the unknowns of one s
     left = np.count_nonzero(~_tree(group)[1]) * block  # the columns of M^T
-    orders = n // _row_scales(coeffs, m**i)
-    short = np.flatnonzero(orders < n)
-    w = np.zeros((len(gens) * block + short.size, left + m**i * r), dtype=_form_dtype(n))
+    w = np.zeros((len(gens) * block, left + m**i * r), dtype=_form_dtype(n))
     eye = np.eye(block, dtype=np.int32).reshape((m,) * (i - 1) + (r, block)).swapaxes(-1, -2)
     y = np.zeros((len(gens),) + eye.shape, dtype=np.int32)
+    # the scales are 1 unless some order is below n; a value below n = 2^16
+    # times a scale of at most n / 2 stays inside int32
+    scales = _row_scales(coeffs, 1).astype(np.int32) if min(coeffs.module.orders) < n else None
     for a in range(len(gens)):
         y[a] = eye
         z, res = _extend(coeffs, i, y)
         y[a] = 0
-        if short.size:  # the scales are 1 unless some order is below n
-            res = res * _row_scales(coeffs, 1) % n
+        if scales is not None:
+            z, res = _floor_mod(z * scales, n), _floor_mod(res * scales, n)
         # narrowed first, the transposing copies move a quarter of the bytes
         w[a * block : (a + 1) * block, :left] = np.moveaxis(res.astype(w.dtype), i, 0).reshape(block, -1)
         w[a * block : (a + 1) * block, left:] = np.moveaxis(z.astype(w.dtype), i, 0).reshape(block, -1)
         del z, res
-    w[len(gens) * block + np.arange(short.size), left + short] = orders[short]
     h = _howell_rows(w, n)[0]
     return h[_leading(h) >= left, left:].astype(np.int64)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
-    """Compute H^degree(G, M) = ker d / im d by canonical forms.
+    """Compute H^degree(G, M) = ker d / im d by canonical forms, on scaled values.
 
-    hZ, the Howell form of the cocycles Z^i, comes from ``_cocycle_form``,
+    Every cochain is held by its scaled values (``_scaled``: coordinate t
+    times n / o_t), an injective map into (Z/n)^(|G|^i·r), so H^i is the
+    scaled Z^i modulo the scaled B^i, and neither carries a row o_t·e_t.
+    hZ, the Howell form of the scaled Z^i, comes from ``_cocycle_form``,
     which eliminates a system in a cocycle's values at first entries in S
     and never builds d^i; in degree 0, where no first entry exists, it is
-    the k of ``_factored_differential(coeffs, 0)``.  A ``solve_differential``
-    on the same d after it factors d itself.
-    H is presented on the z rows of hZ: (Z/n)^z maps onto Z^i
-    by c -> c @ hZ, with kernel the left kernel of hZ, and the coboundaries
-    pull back to their hZ-coordinates, which back-substitution finds exactly
-    (the Howell property).  ``diagonalize_mod`` of these z-wide relations
-    gives the invariant factors, the column transform behind
-    ``coordinates``, and the inverse transform that yields the generators.
-    Every input is a Howell form or is read off one, so the result depends
-    on row spaces alone.  The cache is typed, so a bool or float degree,
-    equal to an int as a key, misses it and is refused.
+    the Howell form of the k of ``_factored_differential(coeffs, 0)`` times
+    the scales.  A ``solve_differential`` on the same d after it factors d
+    itself.  H is presented on the z rows of hZ: (Z/n)^z maps onto Z^i by
+    c -> c @ hZ, with kernel the left kernel of hZ, and the coboundaries,
+    the columns of d^(i-1) with its rows scaled, pull back to their
+    hZ-coordinates, which back-substitution finds exactly (the Howell
+    property).  ``diagonalize_mod`` of these z-wide relations gives the
+    invariant factors, the column transform behind ``coordinates``, and the
+    inverse transform that yields the generators, whose scaled values are
+    divided by the scales.  Every input is a Howell form or is read off one,
+    so the result depends on row spaces alone.  The cache is typed, so a
+    bool or float degree, equal to an int as a key, misses it and is
+    refused.
     """
     degree = _element(degree, "degree")
     if degree < 0:
@@ -636,27 +651,26 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     n = coeffs.modulus
     m = coeffs.group.order
     r = coeffs.module.rank
-    width = m**degree * r
-    orders = n // _row_scales(coeffs, m**degree)
+    scales = _row_scales(coeffs, m**degree)
 
-    basis = _cocycle_form(coeffs, degree) if degree else _factored_differential(coeffs, 0).k
-
-    # coboundaries: the columns of d^(k-1) (none in degree 0), built uncached,
-    # plus o_t e_t where o_t < n (the rest are zero mod n), in hZ-coordinates
-    short = np.flatnonzero(orders < n)
-    b_rows = np.vstack([
-        _differential_matrix(coeffs, degree - 1).T if degree else np.zeros((0, width), dtype=np.int64),
-        orders[short, None] * (short[:, None] == np.arange(width)),
-    ])
-    coords, rem = _back_substitute(basis, b_rows, n)
-    if rem.any():
-        raise ValueError("a coboundary is not in the span of the cocycles")
+    if degree:
+        basis = _cocycle_form(coeffs, degree)
+        # the coboundaries: the columns of d^(i-1), rows scaled, built uncached
+        b_rows = _scaled_rows(coeffs, degree - 1, np.arange(m**degree, dtype=np.int64)).T
+        coords, rem = _back_substitute(basis, b_rows, n)
+        if rem.any():
+            raise ValueError("a coboundary is not in the span of the cocycles")
+    else:
+        basis = _factored_differential(coeffs, 0).k
+        if min(coeffs.module.orders) < n:
+            basis = howell_form(basis * scales, n)[0]
+        coords = np.zeros((0, basis.shape[0]), dtype=np.int64)  # B^0 = 0
     diag, v, w = diagonalize_mod(np.vstack([coords, left_kernel(basis, n)]), n)
     kept = [j for j, d in enumerate(diag) if d > 1]
     invariant_factors = tuple(diag[j] for j in kept)
 
-    # Cochain reduces mod the orders, which divide n
-    generators = tuple(Cochain(coeffs, degree, vec.reshape(m**degree, r)) for vec in w[kept] @ basis)
+    # each entry of a scaled cocycle is a multiple of its coordinate's scale
+    generators = tuple(Cochain(coeffs, degree, vec.reshape(m**degree, r)) for vec in (w[kept] @ basis) % n // scales)
     return CohomologyGroup(coeffs, degree, invariant_factors, generators, basis, v[:, kept])
 
 

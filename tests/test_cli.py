@@ -204,7 +204,7 @@ def test_every_computation_error_exits_3(capsys, monkeypatch, error):
 
 def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):
     # the dense builds are replaced, so nothing is really allocated
-    def fail(coeffs, i, rows=None):
+    def fail(coeffs, i, rows):
         raise MemoryError("Unable to allocate 4.27 TiB for an array")
 
     cochains.cohomology.cache_clear()

@@ -47,7 +47,7 @@ from arithcs.groups import (
     trivial_hom,
 )
 from arithcs.ops import carry_cocycle
-from arithcs.zmod import ModuleOverZn, factorize, solve_linear
+from arithcs.zmod import ModuleOverZn, factorize, howell_form, solve_linear
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -61,7 +61,7 @@ def triv(group, n):
 def full_scaled_differential(coeffs, degree):
     """Every row of the scaled d, the system that its generator rows stand for."""
     rows = coeffs.group.order ** (degree + 1)
-    return _differential_matrix(coeffs, degree) * _row_scales(coeffs, rows)[:, None] % coeffs.modulus
+    return _differential_matrix(coeffs, degree, np.arange(rows)) * _row_scales(coeffs, rows)[:, None] % coeffs.modulus
 
 
 def full_scaled(f):
@@ -202,10 +202,10 @@ def test_differential_follows_the_face_formula(coeffs):
         assert np.array_equal(differential(f).values, expected)
         generator = _generator_rows(coeffs.group, degree + 1)
         degenerate = np.array([j for j, g in enumerate(tuples) if 0 in g])
-        for rows in (None, generator, degenerate):
+        for rows in (np.arange(len(tuples)), generator, degenerate):
             d = _differential_matrix(coeffs, degree, rows)
             got = coeffs.module.reduce((d @ f.values.ravel()).reshape(-1, r) % coeffs.modulus)
-            assert np.array_equal(got, expected if rows is None else expected[rows])
+            assert np.array_equal(got, expected[rows])
 
 
 def test_call_rejects_elements_outside_the_group():
@@ -349,7 +349,7 @@ def test_differential_matrix_at_the_narrow_dtype_boundary(i, twisted):
         coeffs = (
             GModuleAction.by_character(s3_sign_hom(s3, Z2), ModuleOverZn.cyclic(n), n - 1) if twisted else triv(s3, n)
         )
-        d = _differential_matrix(coeffs, i)
+        d = _differential_matrix(coeffs, i, np.arange(6 ** (i + 1)))
         assert d.dtype == dtype
         # column j is d of the j-th unit cochain, computed in int64 by the gather
         units = np.eye(6**i, dtype=np.int64)
@@ -852,19 +852,82 @@ def cocycle_form_cases():
 
 
 def test_generator_row_kernels_equal_full_kernels():
-    # k and the basis of cohomology are Howell forms of Z^i, so equal bytes
-    # mean equal row spaces: the generator rows of d, and the values at
-    # first entries in S, lose no cocycle condition
+    # k and the basis of cohomology are Howell forms, so equal bytes mean
+    # equal row spaces: the generator rows of d, and the values at first
+    # entries in S, lose no cocycle condition.  The basis holds the scaled
+    # cocycles, the Howell form of the full k times the scales, which is the
+    # full k itself when every order is n
     for coeffs, degree in [(coeffs, degree) for coeffs, degree, _ in sweep() if not degree] + list(cocycle_form_cases()):
+        n = coeffs.modulus
         rows = len(_generator_rows(coeffs.group, degree + 1)) * coeffs.module.rank
         assert _scaled_differential(coeffs, degree).shape[0] == rows
-        full = factorize(full_scaled_differential(coeffs, degree), coeffs.modulus).k
-        got = [_factored_differential(coeffs, degree).k]
-        if degree:
-            cohomology.cache_clear()
-            got.append(cohomology(coeffs, degree).basis)
-        for k in got:
-            assert k.shape == full.shape and k.dtype == full.dtype and k.tobytes() == full.tobytes()
+        full = factorize(full_scaled_differential(coeffs, degree), n).k
+        k = _factored_differential(coeffs, degree).k
+        assert k.shape == full.shape and k.dtype == full.dtype and k.tobytes() == full.tobytes()
+        scaled = howell_form(full * _row_scales(coeffs, coeffs.group.order**degree), n)[0]
+        if min(coeffs.module.orders) == n:
+            assert scaled.tobytes() == full.tobytes()
+        cohomology.cache_clear()
+        basis = cohomology(coeffs, degree).basis
+        assert basis.shape == scaled.shape and basis.dtype == scaled.dtype and basis.tobytes() == scaled.tobytes()
+
+
+def test_mixed_orders_sweep_no_rows_for_short_coordinates(monkeypatch):
+    # cold H^3(S3; Z/2+Z/4): |S| = 2 times 6^2 tuples times rank 2 unknown
+    # rows, and no row 2·e_t for each of the 6^3 Z/2 coordinates (360 rows
+    # with them); 8 non-tree pairs of 6^2·2 columns of M^T, then 6^3·2 of
+    # E(I).  The scaled Z^3 has 62 Howell rows, where the lifts had 247
+    coeffs = GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4)))
+    clear_cochain_caches()
+    shapes = spy_howell_rows(monkeypatch)
+    h = cohomology(coeffs, 3)
+    monkeypatch.undo()
+    assert shapes[0] == (144, 1008) and h.basis.shape == (62, 432)
+    assert h.invariant_factors == (2, 2)
+    clear_cochain_caches()
+
+
+def z2_shear():
+    """Z/2 acting on Z/2 x Z/4 by (x, y) -> (x, y + 2x)."""
+    return GModuleAction(Z2, ModuleOverZn(4, (2, 4)), np.array([np.eye(2, dtype=np.int64), [[1, 0], [2, 1]]]))
+
+
+# invariant factors of H^1, H^2, H^3 for modules with some order below n,
+# as cohomology computed them on lifts, with rows o_t·e_t in Z^i and B^i
+MIXED_ORDER_FACTORS = [
+    (s3_sign_shear, [(2,), (2,), (2,)]),
+    (z2_shear, [(2,), (2,), (2,)]),
+    (lambda: GModuleAction.trivial(symmetric3(), ModuleOverZn(12, (4, 6))), [(2, 2), (2, 2), (2, 6)]),
+    (lambda: GModuleAction.trivial(symmetric3(), ModuleOverZn(9, (3, 9))), [(), (), (3, 3)]),
+    (lambda: GModuleAction.trivial(quaternion8(), ModuleOverZn(12, (4, 6))), [(2, 2, 2, 2), (2, 2, 2, 2), (2, 4)]),
+    (lambda: GModuleAction.trivial(quaternion8(), ModuleOverZn(9, (3, 9))), [(), (), ()]),
+]
+
+
+@pytest.mark.parametrize("make, factors", MIXED_ORDER_FACTORS,
+                         ids=["S3-sign-shear", "Z2-shear", "S3;Z/4+Z/6", "S3;Z/3+Z/9", "Q8;Z/4+Z/6", "Q8;Z/3+Z/9"])
+def test_mixed_order_classes_under_actions(make, factors):
+    coeffs = make()
+    rng = np.random.default_rng(coeffs.group.order * coeffs.modulus)
+    for degree, want in zip((1, 2, 3), factors):
+        clear_cochain_caches()
+        h = cohomology(coeffs, degree)
+        assert h.invariant_factors == want
+        for j, gen in enumerate(h.generators):
+            assert differential(gen).is_zero()
+            assert h.coordinates(gen) == tuple(int(t == j) for t in range(len(want)))
+        for _ in range(3):
+            c = [int(rng.integers(0, d)) for d in want]
+            f = differential(Cochain.random(coeffs, degree - 1, rng))
+            for cj, gen in zip(c, h.generators):
+                f = f + cj * gen
+            assert h.coordinates(f) == tuple(c)
+            got = classify(f)
+            if any(c):
+                assert got == NontrivialClass(tuple(c))
+            else:
+                assert isinstance(got, Coboundary) and differential(got.preimage) == f
+    clear_cochain_caches()
 
 
 def test_cold_cohomology_builds_no_differential(monkeypatch):
@@ -946,14 +1009,14 @@ def test_cohomology_factors_no_differential_and_solves_factor_d2_once(monkeypatc
 
 
 def test_each_factorization_eliminates_once(monkeypatch):
-    # a cold cohomology makes one sweep of [[M^T | E(I)]; [0 | O]] for hZ and
-    # one of hZ, whose left kernel comes out of that sweep in Howell form
+    # a cold cohomology makes one sweep of [M^T | E(I)] for hZ and one of
+    # hZ, whose left kernel comes out of that sweep in Howell form
     coeffs = triv(quaternion8(), 4)
     d3 = _scaled_differential(coeffs, 3)
     clear_cochain_caches()
     shapes = spy_howell_rows(monkeypatch)
     h = cohomology(coeffs, 3)
-    # S = {1, 2}: 2 * 8^2 unknowns and no O (every order is n); 8 - 2 tree
+    # S = {1, 2}: 2 * 8^2 unknowns; 8 - 2 tree
     # edges leave 2 * 8 - 6 = 10 pairs, each 8^2 columns of M^T, then 8^3 of E(I)
     assert shapes == [(2 * 8**2, 10 * 8**2 + 8**3), h.basis.shape]
     shapes.clear()

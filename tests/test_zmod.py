@@ -688,7 +688,7 @@ def test_packed_gf2_solve_on_the_q8_times_z3_differential():
 
     coeffs = GModuleAction.trivial(direct_product(quaternion8(), cyclic(3)), ModuleOverZn.cyclic(2))
     # uncached: over a trivial Z/2 module d is its own scaled matrix
-    d = _differential_matrix(coeffs, 2)
+    d = _differential_matrix(coeffs, 2, np.arange(24**3))
     f, howell = factorize(d, 2), _howell_rows(d.T, 2)
     assert howell[0].shape == (552, 13824) and f.h.shape == (552, 13824 // 64)
     rng = np.random.default_rng(13)
