@@ -267,7 +267,8 @@ def _scaled(f: Cochain, rows: np.ndarray | slice) -> np.ndarray:
     coordinate t times n / o_t as in ``_scaled_differential``, so below n.
 
     This map of C^i into (Z/n)^(|G|^i·r) is injective, as o_t·(n / o_t) = n;
-    solve targets and the cocycles of ``cohomology`` are held by its values.
+    ``_generator_values`` reads cocycles by it, and ``normalized_representative``
+    its targets.
     """
     return (f.values[rows] * _row_scales(f.coeffs, 1)).ravel()
 
@@ -287,16 +288,28 @@ def _scaled_rows(coeffs: GModuleAction, i: int, rows: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _generating_set(group: FiniteGroup) -> tuple[int, ...]:
-    """The greedy generating set S of ``group``: in element order, each
-    element outside the subgroup generated by the earlier ones joins S.
+    """A small generating set S of ``group``, in increasing order.
 
-    {1} for a cyclic group, {1, 2} for ``quaternion8``, and {e} for the
-    trivial group, whose d has only rows with first entry e.
+    The elements are walked in decreasing element order, ties broken by
+    index, and each one outside the subgroup that the earlier picks generate
+    joins S; an element of largest order generates the largest cyclic
+    subgroup to start from.  (1,) for a cyclic group, (1, 2) for
+    ``quaternion8``, (4, 7) for Q8 x Z/3, and (0,) for the trivial group,
+    whose d has only rows with first entry e.
     """
-    inside = np.zeros(group.order, dtype=bool)
+    m = group.order
+    # power[g] runs through g^k; g's order is the first k with g^k = e
+    orders = np.zeros(m, dtype=np.int64)
+    power = np.arange(m)
+    k = 1
+    while not orders.all():
+        orders[(power == 0) & (orders == 0)] = k
+        power = group.mul[power, np.arange(m)]
+        k += 1
+    inside = np.zeros(m, dtype=bool)
     inside[0] = True
     gens: list[int] = []
-    for g in range(1, group.order):
+    for g in sorted(range(1, m), key=lambda g: (-orders[g], g)):
         if inside[g]:
             continue
         gens.append(g)
@@ -306,7 +319,7 @@ def _generating_set(group: FiniteGroup) -> tuple[int, ...]:
             new = np.unique(group.mul[np.ix_(new, gens)])
             new = new[~inside[new]]
             inside[new] = True
-    return tuple(gens) or (0,)
+    return tuple(sorted(gens)) or (0,)
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,6 +328,16 @@ def _generator_rows(group: FiniteGroup, degree: int) -> np.ndarray:
     ``_generating_set(group)``, in increasing order."""
     index = np.arange(group.order**degree, dtype=np.int64).reshape(group.order, -1)
     return _freeze(index[list(_generating_set(group))].ravel())
+
+
+def _generator_values(f: Cochain) -> np.ndarray:
+    """f's scaled values (``_scaled``) at ``_generator_rows(f.group,
+    f.degree)``, flattened: the one form in which solves and ``cohomology``
+    read a cochain, U = |S|·|G|^(i-1)·r of them.  They fix a cocycle, but
+    say nothing of whether f is one.  In degree 0, which has no first entry,
+    they are f's own r values, scaled.
+    """
+    return _scaled(f, _generator_rows(f.group, f.degree) if f.degree else slice(None))
 
 
 @functools.lru_cache(maxsize=None)
@@ -418,9 +441,11 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     exactly when its S rows vanish (Brown, *Cohomology of Groups*, on
     inhomogeneous cochains).  For a target that is not a cocycle the S rows
     say nothing, which is why ``solve_differential`` checks d x on all rows.
-    ``cohomology`` never builds this matrix (see ``_cocycle_form``); solves
-    and ``_factored_with_generator`` do.  Built by ``_scaled_rows``, for the
-    ``zmod`` routines with n = ``coeffs.modulus``; only the caller keeps it.
+    Solves and ``_factored_with_generator`` build it through this name;
+    ``cohomology`` builds the same rows of d^(i-1) for its coboundaries
+    through ``_scaled_rows`` and never builds d^i (see ``_cocycle_form``).
+    Built by ``_scaled_rows``, for the ``zmod`` routines with n =
+    ``coeffs.modulus``; only the caller keeps it.
     """
     return _scaled_rows(coeffs, i, _generator_rows(coeffs.group, i + 1))
 
@@ -432,8 +457,8 @@ def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
     The one cached form of d, whose dense generator rows are dropped once
     factored; over Z/2 it holds h and u as packed words alone.  Its k is the
     Howell form of Z^i on lifts, which seeded global trivializations sample
-    from (``cohomology`` finds the scaled Z^i by ``_cocycle_form``, without
-    d, except in degree 0, and so the same k when every order is n), and its
+    from (``cohomology`` finds Z^i in S-coordinates by ``_cocycle_form``,
+    without d, except in degree 0), and its
     ``solve`` serves every ``solve_differential``, so each d is built and
     eliminated once however many targets follow.
     """
@@ -456,9 +481,8 @@ def _factored_with_generator(generator: Cochain) -> Factorization:
     coeffs = generator.coeffs
     if not differential(generator).is_zero():
         raise ValueError("the generator is not a cocycle")
-    rows = _generator_rows(coeffs.group, generator.degree)
     d = _scaled_differential(coeffs, generator.degree - 1)
-    d = np.hstack([d, _scaled(generator, rows)[:, None].astype(d.dtype)])
+    d = np.hstack([d, _generator_values(generator)[:, None].astype(d.dtype)])
     return factorize(d, coeffs.modulus)
 
 
@@ -481,8 +505,7 @@ def solve_differential(coeffs: GModuleAction, degree: int, target: Cochain) -> C
         raise ValueError("target degree must be degree + 1")
     if target.coeffs != coeffs:
         raise ValueError("target lives on other coefficients than the ones solved over")
-    rows = _generator_rows(coeffs.group, degree + 1)
-    sol = _factored_differential(coeffs, degree).solve(_scaled(target, rows))
+    sol = _factored_differential(coeffs, degree).solve(_generator_values(target))
     if sol is None:
         return None
     x = Cochain(coeffs, degree, sol.particular)
@@ -545,11 +568,12 @@ def classify(f: Cochain) -> Classification:
 class CohomologyGroup:
     """H^i(G, M) with invariant factors, generating cocycles, and coordinates.
 
-    ``basis`` and ``transform`` are in scaled coordinates (``_scaled``:
-    coordinate t times n / o_t), which are the plain values when every order
-    o_t is n.  The coordinates of a cocycle are the coefficients of its
-    scaled values over ``basis``, the Howell rows of the scaled Z^i, by
-    back-substitution, followed by the columns of the transform that
+    ``basis`` and ``transform`` are in S-coordinates (``_generator_values``:
+    a cochain's values at its tuples whose first entry lies in S, coordinate
+    t times n / o_t), so both depend on S; in degree 0 they are the r
+    values, scaled.  The coordinates of a cocycle are the coefficients of
+    its S-values over ``basis``, the Howell rows of Z^i in S-coordinates,
+    by back-substitution, followed by the columns of the transform that
     diagonalizes the coboundary relations mod n, one per invariant factor,
     so they are zero exactly on coboundaries and the published generators
     map to the standard basis vectors.
@@ -559,47 +583,53 @@ class CohomologyGroup:
     degree: int
     invariant_factors: tuple[int, ...]
     generators: tuple[Cochain, ...] = field(repr=False)
-    basis: np.ndarray = field(repr=False)  # hZ, the Howell form of the scaled cocycles Z^i
+    basis: np.ndarray = field(repr=False)  # hZ, the Howell form of Z^i in S-coordinates
     transform: np.ndarray = field(repr=False)  # columns of diagonalize_mod's v, one per factor
 
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
     def coordinates(self, f: Cochain) -> tuple[int, ...]:
-        """Coordinates of a cocycle in the ⊕ Z/d_j decomposition."""
+        """Coordinates of a cocycle in the ⊕ Z/d_j decomposition.
+
+        The S-values of a cocycle lie in the span of ``basis``, but so may
+        those of a non-cocycle, so f is checked by its differential first.
+        """
         if f.coeffs != self.coeffs or f.degree != self.degree:
             raise ValueError("cochain does not live in this cohomology group")
-        n = self.coeffs.modulus
-        c, rem = _back_substitute(self.basis, _scaled(f, slice(None))[None, :], n)
-        if rem.any():
+        if not differential(f).is_zero():
             raise ValueError("not a cocycle")
+        c = _back_substitute(self.basis, _generator_values(f)[None, :], self.coeffs.modulus)[0]
         # each invariant factor divides n
         return tuple(int(x) % d for x, d in zip(c[0] @ self.transform, self.invariant_factors))
 
 
 def _cocycle_form(coeffs: GModuleAction, i: int) -> np.ndarray:
-    """hZ, the Howell form of the scaled cocycles Z^i for i >= 1, without
+    """hZ, the Howell form of Z^i in S-coordinates for i >= 1, without
     building d^i.
 
     A cocycle is fixed by its values y at first entries in S, and every y
-    extends to a cochain E y by ``_extend``, which is a cocycle exactly when
-    its residual M y vanishes.  Both are held scaled, coordinate t times
-    n / o_t as in ``_scaled``, which is injective on cochains, so the scaled
-    Z^i is the scaled E(ker M) and needs no rows o_t·e_t for the coordinates
-    whose order o_t is below n.  The identity batch, one s at a time, gives
-    M^T and E(I) with U = |S|·|G|^(i-1)·r rows, and one ``_howell_rows`` of
-    [M^T | E(I)], stored in ``_form_dtype``, does the rest: by the Howell
-    property its rows with a pivot in the E(I) block, restricted to that
-    block, are the Howell form of the row space's intersection with
-    0 + (Z/n)^(|G|^i·r), which is 0 + Z^i scaled.  A row space has one Howell
-    form, so when every o_t is n hZ equals the k of
-    ``_factored_differential(coeffs, i)`` byte for byte.
+    extends to a cochain by ``_extend``, which is a cocycle exactly when its
+    residual M y vanishes.  Both y and M y are held scaled, coordinate t
+    times n / o_t as in ``_generator_values``, which is injective, so no row
+    o_t·e_t is needed for a coordinate whose order o_t is below n.  The
+    identity batch, one s at a time, gives M^T with U = |S|·|G|^(i-1)·r
+    rows, and one ``_howell_rows`` of [M^T | diag(scales)], stored in
+    ``_form_dtype``, does the rest: by the Howell property its rows with a
+    pivot in the diagonal block, restricted to that block, are the Howell
+    form of the row space's intersection with 0 + (Z/n)^U, which is 0 + the
+    scaled S-values of the cocycles.  A row space has one Howell form, so
+    hZ is the Howell form of the k of ``_factored_differential(coeffs, i)``
+    read at the S-coordinates and scaled.
     """
     group, n, r = coeffs.group, coeffs.modulus, coeffs.module.rank
     m, gens = group.order, _generating_set(group)
     block = m ** (i - 1) * r  # the unknowns of one s
+    unknowns = len(gens) * block
     left = np.count_nonzero(~_tree(group)[1]) * block  # the columns of M^T
-    w = np.zeros((len(gens) * block, left + m**i * r), dtype=_form_dtype(n))
+    w = np.zeros((unknowns, left + unknowns), dtype=_form_dtype(n))
+    # an order-1 coordinate has scale n, which is 0
+    w[np.arange(unknowns), left + np.arange(unknowns)] = _row_scales(coeffs, unknowns // r) % n
     eye = np.eye(block, dtype=np.int32).reshape((m,) * (i - 1) + (r, block)).swapaxes(-1, -2)
     y = np.zeros((len(gens),) + eye.shape, dtype=np.int32)
     # the scales are 1 unless some order is below n; a value below n = 2^16
@@ -607,41 +637,41 @@ def _cocycle_form(coeffs: GModuleAction, i: int) -> np.ndarray:
     scales = _row_scales(coeffs, 1).astype(np.int32) if min(coeffs.module.orders) < n else None
     for a in range(len(gens)):
         y[a] = eye
-        z, res = _extend(coeffs, i, y)
+        res = _extend(coeffs, i, y)[1]
         y[a] = 0
         if scales is not None:
-            z, res = _floor_mod(z * scales, n), _floor_mod(res * scales, n)
-        # narrowed first, the transposing copies move a quarter of the bytes
+            res = _floor_mod(res * scales, n)
+        # narrowed first, the transposing copy moves a quarter of the bytes
         w[a * block : (a + 1) * block, :left] = np.moveaxis(res.astype(w.dtype), i, 0).reshape(block, -1)
-        w[a * block : (a + 1) * block, left:] = np.moveaxis(z.astype(w.dtype), i, 0).reshape(block, -1)
-        del z, res
+        del res
     h = _howell_rows(w, n)[0]
     return h[_leading(h) >= left, left:].astype(np.int64)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
-    """Compute H^degree(G, M) = ker d / im d by canonical forms, on scaled values.
+    """Compute H^degree(G, M) = ker d / im d by canonical forms, in S-coordinates.
 
-    Every cochain is held by its scaled values (``_scaled``: coordinate t
-    times n / o_t), an injective map into (Z/n)^(|G|^i·r), so H^i is the
-    scaled Z^i modulo the scaled B^i, and neither carries a row o_t·e_t.
-    hZ, the Howell form of the scaled Z^i, comes from ``_cocycle_form``,
-    which eliminates a system in a cocycle's values at first entries in S
-    and never builds d^i; in degree 0, where no first entry exists, it is
-    the Howell form of the k of ``_factored_differential(coeffs, 0)`` times
-    the scales.  A ``solve_differential`` on the same d after it factors d
-    itself.  H is presented on the z rows of hZ: (Z/n)^z maps onto Z^i by
-    c -> c @ hZ, with kernel the left kernel of hZ, and the coboundaries,
-    the columns of d^(i-1) with its rows scaled, pull back to their
-    hZ-coordinates, which back-substitution finds exactly (the Howell
-    property).  ``diagonalize_mod`` of these z-wide relations gives the
-    invariant factors, the column transform behind ``coordinates``, and the
-    inverse transform that yields the generators, whose scaled values are
-    divided by the scales.  Every input is a Howell form or is read off one,
-    so the result depends on row spaces alone.  The cache is typed, so a
-    bool or float degree, equal to an int as a key, misses it and is
-    refused.
+    Every cochain is read by ``_generator_values``: its values at the tuples
+    whose first entry lies in S, coordinate t times n / o_t, U =
+    |S|·|G|^(i-1)·r of them.  That map is injective on Z^i, so H^i is Z^i
+    modulo B^i, both in S-coordinates, and neither carries a row o_t·e_t.
+    hZ, their Howell form for Z^i, comes from ``_cocycle_form``, which never
+    builds d^i; in degree 0, where no first entry exists, the coordinates are
+    the r values, and hZ is the Howell form of the k of
+    ``_factored_differential(coeffs, 0)`` times the scales.  H is presented
+    on the z rows of hZ: (Z/n)^z maps onto Z^i by c -> c @ hZ, with kernel
+    the left kernel of hZ, and the coboundaries, the columns of the
+    generator rows of d^(i-1) with its rows scaled (built by ``_scaled_rows``,
+    uncached), pull back to their hZ-coordinates, which back-substitution
+    finds exactly (the Howell property).  ``diagonalize_mod`` of these
+    z-wide relations gives the invariant factors, the column transform
+    behind ``coordinates``, and the inverse transform that yields the
+    generators: their S-values, divided by the scales and extended to
+    cocycles by ``_extend``.  Every input is a Howell form or is read off
+    one, so for a given S the result depends on row spaces alone.  The cache
+    is typed, so a bool or float degree, equal to an int as a key, misses it
+    and is refused.
     """
     degree = _element(degree, "degree")
     if degree < 0:
@@ -649,28 +679,35 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     if degree + 1 > DEFAULT_DEGREE_CAP:
         raise DegreeBoundError(f"cohomology in degree {degree} needs d up to {degree + 1} > cap {DEFAULT_DEGREE_CAP}")
     n = coeffs.modulus
-    m = coeffs.group.order
+    group = coeffs.group
     r = coeffs.module.rank
-    scales = _row_scales(coeffs, m**degree)
 
     if degree:
         basis = _cocycle_form(coeffs, degree)
-        # the coboundaries: the columns of d^(i-1), rows scaled, built uncached
-        b_rows = _scaled_rows(coeffs, degree - 1, np.arange(m**degree, dtype=np.int64)).T
+        # the coboundaries' S-values: the columns of the generator rows of d^(i-1), rows scaled
+        b_rows = _scaled_rows(coeffs, degree - 1, _generator_rows(group, degree)).T
         coords, rem = _back_substitute(basis, b_rows, n)
         if rem.any():
             raise ValueError("a coboundary is not in the span of the cocycles")
     else:
         basis = _factored_differential(coeffs, 0).k
         if min(coeffs.module.orders) < n:
-            basis = howell_form(basis * scales, n)[0]
+            basis = howell_form(basis * _row_scales(coeffs, 1), n)[0]
         coords = np.zeros((0, basis.shape[0]), dtype=np.int64)  # B^0 = 0
     diag, v, w = diagonalize_mod(np.vstack([coords, left_kernel(basis, n)]), n)
     kept = [j for j, d in enumerate(diag) if d > 1]
     invariant_factors = tuple(diag[j] for j in kept)
 
     # each entry of a scaled cocycle is a multiple of its coordinate's scale
-    generators = tuple(Cochain(coeffs, degree, vec.reshape(m**degree, r)) for vec in (w[kept] @ basis) % n // scales)
+    values = (w[kept] @ basis) % n // _row_scales(coeffs, basis.shape[1] // r)
+    if degree:
+        # from S-values to cocycles; _extend takes the batch axis next to last
+        shape = (len(kept), len(_generating_set(group))) + (group.order,) * (degree - 1) + (r,)
+        z, res = _extend(coeffs, degree, np.moveaxis(values.reshape(shape), 0, -2).astype(np.int32))
+        if _floor_mod(res, coeffs.module.orders).any():
+            raise ValueError("a generator's S-values do not extend to a cocycle")
+        values = np.moveaxis(z, -2, 0).astype(np.int64)
+    generators = tuple(Cochain(coeffs, degree, vec) for vec in values)
     return CohomologyGroup(coeffs, degree, invariant_factors, generators, basis, v[:, kept])
 
 

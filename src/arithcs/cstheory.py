@@ -38,8 +38,7 @@ from .cochains import (
     solve_differential,
     _factored_differential,
     _factored_with_generator,
-    _generator_rows,
-    _scaled,
+    _generator_values,
 )
 from .groups import FiniteGroup, GModuleAction, GroupHom, NotAHomError, conjugation_hom, cyclic, make_hom
 from .ops import carry_cocycle, cup, cyclic_three_cocycle, homotopy, identity_character
@@ -209,7 +208,7 @@ def local_invariant(x: Cochain, place: PlaceDatum) -> InvariantValue:
         raise ValueError("expected a degree-2 cochain on the place's local group")
     if not differential(x).is_zero():
         raise ValueError("local invariants are defined on cocycles only")
-    sol = _factored_with_generator(place.h2_generator).solve(_scaled(x, _generator_rows(x.group, 2)))
+    sol = _factored_with_generator(place.h2_generator).solve(_generator_values(x))
     if sol is None:
         raise NotInGeneratedSummandError(
             "class lies outside the cyclic summand generated by the declared h2_generator"

@@ -230,14 +230,14 @@ def cohomology_cases():
 
 COHOMOLOGY = {
     "H3(Z/4;Z/4)": "b5245266aaebe40bb7b436f3f1b70fac1adc08cc23abf39917976b17fb37a359",
-    "H3(S3;Z/3)": "e43f72cbe27e785b4f6e9ebae1b03564e2546fa2e38e2a733d507cf620055d95",
+    "H3(S3;Z/3)": "8d0bb8f6297926cc61c9e53f375246adbd55efd082920039f6a25b41414e78ac",
     "H3(Z/6;Z/6)": "77e921166ffa8455d9a7541f08ce476e607225299e6adfde9ef9e46362405425",
-    "H3(Z/6;Z/4 twisted)": "52e38f0f691586033f958b3d25e136ad83ea22fd4302a6d6a7fc397454b19d85",
-    "H3(S3;Z/2+Z/4)": "e4c2a703e8f08e9a9057cc852141242e9184c6ed139fd2fc2ba85547f123c254",
+    "H3(Z/6;Z/4 twisted)": "ed943890ccc441c15dd173c391cff652c4be1f36b9846363a2e441eb824d20a5",
+    "H3(S3;Z/2+Z/4)": "fbbfff811fa38a1ffca427cd37ca56af64ca8bdc213ee800fa8a60705636992c",
     "H0(Z/4;Z/4)": "c537dfbda32d7534fd072cc813cde99c95ff6fbbe829719d9d053d055e2a2c9f",
     "H0(S3;Z/2+Z/4)": "84080453c04bb01a02527f4cea492055e99b8f46b2034477914a45794b054a95",
     "H1(S3;Z/2+Z/4)": "2742011e46546fe89b036220a4ce76e26f2afb53687c59614a90087154f7387d",
-    "H2(S3;Z/2+Z/4)": "871f47abab3138bfb36ec7f33c56a3a605cfd65cbfa39307a0d057e4d3c9440d",
+    "H2(S3;Z/2+Z/4)": "61903acddf1ff13eefb905c2fdf06599d9688536c3e9efa7f23d1e360b33d906",
 }
 
 

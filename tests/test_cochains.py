@@ -16,8 +16,8 @@ from arithcs.cochains import (
     _factored_differential,
     _generating_set,
     _generator_rows,
+    _generator_values,
     _row_scales,
-    _scaled,
     _scaled_differential,
     _tree,
     DegreeBoundError,
@@ -639,34 +639,46 @@ def test_factored_kernel_depends_on_row_spaces_alone(monkeypatch):
 
 
 def test_cohomology_depends_on_row_spaces_alone(monkeypatch):
-    # every non-identity element as S instead of the greedy set: other
-    # unknowns, another spanning tree and more residual rows, the same Z^i
+    # every non-identity element as S instead of the chosen set: other
+    # unknowns, another spanning tree and more residual rows.  The invariant
+    # factors, the k of d and every solution stay; the basis is in
+    # S-coordinates, so it does not
+    rng = np.random.default_rng(13)
     for coeffs, degree in ROW_SPACE_CASES:
         group = coeffs.group
+        targets = [differential(Cochain.random(coeffs, degree, rng)) for _ in range(2)]
         clear_cochain_caches()
         want, want_k = cohomology(coeffs, degree), _factored_differential(coeffs, degree).k
-        greedy = len(_generating_set(group))
+        want_solutions = [solve_differential(coeffs, degree, t) for t in targets]
+        chosen = len(_generating_set(group))
         shapes = spy_howell_rows(monkeypatch)
         monkeypatch.setattr(cochains, "_generating_set", lambda g: tuple(range(1, g.order)))
         clear_cochain_caches()
         got, k = cohomology(coeffs, degree), _factored_differential(coeffs, degree).k
+        solutions = [solve_differential(coeffs, degree, t) for t in targets]
+        # the generators are cocycles with unit coordinates, read on this S
+        for j, gen in enumerate(got.generators):
+            assert differential(gen).is_zero()
+            assert got.coordinates(gen) == tuple(int(t == j) for t in range(len(got.generators)))
         monkeypatch.undo()
         clear_cochain_caches()
         # the patch took effect: the first sweep has |S| * |G|^(i-1) * r
-        # unknown rows and one M^T column per non-tree pair, x and coordinate
+        # unknown rows, one M^T column per non-tree pair, x and coordinate,
+        # and one diagonal column per unknown
         block, everything = group.order ** (degree - 1) * coeffs.module.rank, group.order - 1
-        assert shapes[0][0] >= everything * block > greedy * block
-        assert shapes[0][1] == (everything * group.order - 1) * block + group.order * block
+        assert shapes[0][0] == everything * block > chosen * block
+        assert shapes[0][1] == (everything * group.order - 1) * block + everything * block
         assert got.invariant_factors == want.invariant_factors
-        assert [g.values.tobytes() for g in got.generators] == [g.values.tobytes() for g in want.generators]
-        for a, b in [(k, want_k), (got.basis, want.basis), (got.transform, want.transform)]:
-            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert k.shape == want_k.shape and k.dtype == want_k.dtype and k.tobytes() == want_k.tobytes()
+        assert [x.values.tobytes() for x in solutions] == [x.values.tobytes() for x in want_solutions]
+        assert got.basis.shape[1] == everything * block != want.basis.shape[1]
 
 
 def test_cohomology_is_presented_on_the_cocycles():
-    # the basis has one row per Howell row of Z^2, not one per coordinate of C^2
+    # the basis has one row per Howell row of Z^2, not one per coordinate of
+    # C^2, and one column per S-coordinate: |S| = 2 first entries times 24
     h = cohomology(triv(direct_product(quaternion8(), Z3), 2), 2)
-    assert h.basis.shape == (24, 576)
+    assert h.basis.shape == (24, 48)
     assert h.invariant_factors == (2, 2)
 
 
@@ -822,20 +834,41 @@ def test_solve_differential_refuses_a_non_cocycle_that_matches_on_generator_rows
         values = differential(Cochain.random(coeffs, 1, rng)).values.copy()
         values[2 * 4 + 1] += 1
         target = Cochain(coeffs, 2, values)
-        rows = _generator_rows(Z4, 2)
-        assert _factored_differential(coeffs, 1).solve(_scaled(target, rows)) is not None
+        assert _factored_differential(coeffs, 1).solve(_generator_values(target)) is not None
         assert solve_differential(coeffs, 1, target) is None
         assert isinstance(classify(target), NonCocycle)
 
 
+def test_coordinates_refuse_a_non_cocycle_that_matches_on_generator_rows():
+    # the same bump at (2, 1) on a class plus a coboundary: its S-values are
+    # those of a cocycle, so only its differential tells it apart
+    coeffs = triv(Z4, 4)
+    h = cohomology(coeffs, 2)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        cocycle = h.generators[0] + differential(Cochain.random(coeffs, 1, rng))
+        values = cocycle.values.copy()
+        values[2 * 4 + 1] += 1
+        f = Cochain(coeffs, 2, values)
+        assert np.array_equal(_generator_values(f), _generator_values(cocycle))
+        assert h.coordinates(cocycle) == (1,)
+        with pytest.raises(ValueError, match="not a cocycle"):
+            h.coordinates(f)
+
+
 def test_generating_sets():
+    # decreasing element order, ties by index, each pick outside the
+    # subgroup of the earlier ones; returned sorted
     q8 = quaternion8()
     assert _generating_set(make_group([[0]])) == (0,)
     assert _generating_set(cyclic(5)) == (1,)
     assert _generating_set(q8) == (1, 2)
-    assert _generating_set(direct_product(q8, Z3)) == (1, 3, 6)
+    assert _generating_set(direct_product(q8, Z3)) == (4, 7)
+    assert _generating_set(direct_product(direct_product(q8, Z3), Z2)) == (8, 9, 14)
+    assert _generating_set(direct_product(q8, Z2)) == (2, 3, 4)
     assert _generating_set(klein_four()) == (1, 2)
-    assert _generating_set(symmetric3()) == (1, 2)
+    assert _generating_set(symmetric3()) == (1, 3)
+    assert _generating_set(dihedral4()) == (1, 4)
     # the trivial group's d keeps all its rows
     assert _generator_rows(make_group([[0]]), 3).tolist() == [0]
     assert _generator_rows(q8, 2).tolist() == list(range(8, 24))
@@ -854,19 +887,19 @@ def cocycle_form_cases():
 def test_generator_row_kernels_equal_full_kernels():
     # k and the basis of cohomology are Howell forms, so equal bytes mean
     # equal row spaces: the generator rows of d, and the values at first
-    # entries in S, lose no cocycle condition.  The basis holds the scaled
-    # cocycles, the Howell form of the full k times the scales, which is the
-    # full k itself when every order is n
+    # entries in S, lose no cocycle condition.  The basis is the Howell form
+    # of the full k's columns at the S-coordinates, times the scales; in
+    # degree 0 those are all r columns
     for coeffs, degree in [(coeffs, degree) for coeffs, degree, _ in sweep() if not degree] + list(cocycle_form_cases()):
-        n = coeffs.modulus
-        rows = len(_generator_rows(coeffs.group, degree + 1)) * coeffs.module.rank
+        n, r = coeffs.modulus, coeffs.module.rank
+        rows = len(_generator_rows(coeffs.group, degree + 1)) * r
         assert _scaled_differential(coeffs, degree).shape[0] == rows
         full = factorize(full_scaled_differential(coeffs, degree), n).k
         k = _factored_differential(coeffs, degree).k
         assert k.shape == full.shape and k.dtype == full.dtype and k.tobytes() == full.tobytes()
-        scaled = howell_form(full * _row_scales(coeffs, coeffs.group.order**degree), n)[0]
-        if min(coeffs.module.orders) == n:
-            assert scaled.tobytes() == full.tobytes()
+        tuples = _generator_rows(coeffs.group, degree) if degree else np.arange(1)
+        cols = (tuples[:, None] * r + np.arange(r)).ravel()
+        scaled = howell_form(full[:, cols] * _row_scales(coeffs, tuples.size), n)[0]
         cohomology.cache_clear()
         basis = cohomology(coeffs, degree).basis
         assert basis.shape == scaled.shape and basis.dtype == scaled.dtype and basis.tobytes() == scaled.tobytes()
@@ -874,15 +907,15 @@ def test_generator_row_kernels_equal_full_kernels():
 
 def test_mixed_orders_sweep_no_rows_for_short_coordinates(monkeypatch):
     # cold H^3(S3; Z/2+Z/4): |S| = 2 times 6^2 tuples times rank 2 unknown
-    # rows, and no row 2·e_t for each of the 6^3 Z/2 coordinates (360 rows
-    # with them); 8 non-tree pairs of 6^2·2 columns of M^T, then 6^3·2 of
-    # E(I).  The scaled Z^3 has 62 Howell rows, where the lifts had 247
+    # rows, and no row 2·e_t for each of the Z/2 coordinates; 8 non-tree
+    # pairs of 6^2·2 columns of M^T, then one diagonal column per unknown.
+    # Z^3 has 62 Howell rows in its 144 scaled S-coordinates
     coeffs = GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4)))
     clear_cochain_caches()
     shapes = spy_howell_rows(monkeypatch)
     h = cohomology(coeffs, 3)
     monkeypatch.undo()
-    assert shapes[0] == (144, 1008) and h.basis.shape == (62, 432)
+    assert shapes[0] == (144, 720) and h.basis.shape == (62, 144)
     assert h.invariant_factors == (2, 2)
     clear_cochain_caches()
 
@@ -939,9 +972,50 @@ def test_cold_cohomology_builds_no_differential(monkeypatch):
     for coeffs, degree in [(triv(quaternion8(), 4), 3), (z6_twisted(), 3), (s3_sign_shear(), 2),
                            (triv(make_group([[0]]), 2), 1)]:
         clear_cochain_caches()
-        assert cohomology(coeffs, degree).basis.shape[1] == coeffs.group.order**degree * coeffs.module.rank
+        width = len(_generating_set(coeffs.group)) * coeffs.group.order ** (degree - 1) * coeffs.module.rank
+        assert cohomology(coeffs, degree).basis.shape[1] == width
     monkeypatch.undo()
     clear_cochain_caches()
+
+
+@pytest.mark.parametrize(
+    "coeffs, degree",
+    [(triv(quaternion8(), 4), 3), (s3_sign_shear(), 2),
+     (GModuleAction.trivial(symmetric3(), ModuleOverZn(4, (2, 4))), 3), (triv(direct_product(quaternion8(), Z3), 2), 2)],
+    ids=["Q8;Z/4", "S3-sign-shear", "S3;Z/2+Z/4", "Q8xZ/3;Z/2"],
+)
+def test_cold_cohomology_is_no_wider_than_its_s_coordinates(monkeypatch, coeffs, degree):
+    # past the M^T block of the sweep, every elimination, back-substitution
+    # and differential build is at most U = |S|·|G|^(i-1)·r wide, below the
+    # |G|^i·r coordinates of C^i
+    group, r = coeffs.group, coeffs.module.rank
+    unknowns = len(_generating_set(group)) * group.order ** (degree - 1) * r
+    assert unknowns < group.order**degree * r
+    substituted, built = [], []
+    back, build = cochains._back_substitute, cochains._differential_matrix
+
+    def back_spy(h, vecs, n):
+        substituted.append((h.shape, vecs.shape))
+        return back(h, vecs, n)
+
+    def build_spy(c, i, rows):
+        d = build(c, i, rows)
+        built.append(d.shape)
+        return d
+
+    clear_cochain_caches()
+    shapes = spy_howell_rows(monkeypatch)
+    monkeypatch.setattr(cochains, "_back_substitute", back_spy)
+    monkeypatch.setattr(cochains, "_differential_matrix", build_spy)
+    h = cohomology(coeffs, degree)
+    monkeypatch.undo()
+    clear_cochain_caches()
+    left = np.count_nonzero(~_tree(group)[1]) * group.order ** (degree - 1) * r
+    # the sweep of [M^T | diag(scales)], then the left kernel of the basis
+    assert shapes == [(unknowns, left + unknowns), h.basis.shape] and h.basis.shape[1] == unknowns
+    # the coboundaries: the U generator rows of d^(i-1), one column per unknown of C^(i-1)
+    assert built == [(unknowns, group.order ** (degree - 1) * r)]
+    assert substituted == [(h.basis.shape, built[0][::-1])]
 
 
 @pytest.mark.parametrize(
@@ -1009,16 +1083,16 @@ def test_cohomology_factors_no_differential_and_solves_factor_d2_once(monkeypatc
 
 
 def test_each_factorization_eliminates_once(monkeypatch):
-    # a cold cohomology makes one sweep of [M^T | E(I)] for hZ and one of
-    # hZ, whose left kernel comes out of that sweep in Howell form
+    # a cold cohomology makes one sweep of [M^T | diag(scales)] for hZ and
+    # one of hZ, whose left kernel comes out of that sweep in Howell form
     coeffs = triv(quaternion8(), 4)
     d3 = _scaled_differential(coeffs, 3)
     clear_cochain_caches()
     shapes = spy_howell_rows(monkeypatch)
     h = cohomology(coeffs, 3)
-    # S = {1, 2}: 2 * 8^2 unknowns; 8 - 2 tree
-    # edges leave 2 * 8 - 6 = 10 pairs, each 8^2 columns of M^T, then 8^3 of E(I)
-    assert shapes == [(2 * 8**2, 10 * 8**2 + 8**3), h.basis.shape]
+    # S = {1, 2}: 2 * 8^2 unknowns; 8 - 2 tree edges leave 2 * 8 - 6 = 10
+    # pairs, each 8^2 columns of M^T, then 2 * 8^2 diagonal columns
+    assert shapes == [(2 * 8**2, 10 * 8**2 + 2 * 8**2), h.basis.shape]
     shapes.clear()
     assert solve_linear(d3, d3 @ np.arange(d3.shape[1]) % 4, 4) is not None
     assert shapes == [d3.T.shape]
@@ -1060,8 +1134,8 @@ def test_z2_factorization_holds_packed_words_alone(monkeypatch):
     f = _factored_differential(coeffs, 2)
     monkeypatch.undo()
     rows, cols = f.shape
-    # S has 3 elements: 3 * 24^2 generator rows, 24^2 unknowns, several words each
-    assert (rows, cols) == (3 * 24**2, 24**2)
+    # S has 2 elements: 2 * 24^2 generator rows, 24^2 unknowns, several words each
+    assert (rows, cols) == (2 * 24**2, 24**2)
     assert f.h.dtype == f.u.dtype == np.uint64
     assert f.h.shape == (len(f.lead), -(-rows // 64)) and f.u.shape == (len(f.lead), -(-cols // 64))
     # factoring unpacks k, which is the kernel basis of every solution, and nothing else
