@@ -42,11 +42,9 @@ from .zmod import (
     _form_dtype,
     _freeze,
     _howell_rows,
-    _leading,
     _narrow_dtype,
     diagonalize_mod,
     factorize,
-    howell_form,
     left_kernel,
     solve_linear,
 )
@@ -443,7 +441,8 @@ def _scaled_differential(coeffs: GModuleAction, i: int) -> np.ndarray:
     say nothing, which is why ``solve_differential`` checks d x on all rows.
     Solves and ``_factored_with_generator`` build it through this name;
     ``cohomology`` builds the same rows of d^(i-1) for its coboundaries
-    through ``_scaled_rows`` and never builds d^i (see ``_cocycle_form``).
+    through ``_scaled_rows``, and its ``_cocycle_form`` builds d^i only in
+    degree 0, through ``_factored_differential``.
     Built by ``_scaled_rows``, for the ``zmod`` routines with n =
     ``coeffs.modulus``; only the caller keeps it.
     """
@@ -457,10 +456,9 @@ def _factored_differential(coeffs: GModuleAction, i: int) -> Factorization:
     The one cached form of d, whose dense generator rows are dropped once
     factored; over Z/2 it holds h and u as packed words alone.  Its k is the
     Howell form of Z^i on lifts, which seeded global trivializations sample
-    from (``cohomology`` finds Z^i in S-coordinates by ``_cocycle_form``,
-    without d, except in degree 0), and its
-    ``solve`` serves every ``solve_differential``, so each d is built and
-    eliminated once however many targets follow.
+    from, and which ``_cocycle_form`` reads Z^0 from (in degree >= 1 it finds
+    Z^i without d); its ``solve`` serves every ``solve_differential``, so
+    each d is built and eliminated once however many targets follow.
     """
     return factorize(_scaled_differential(coeffs, i), coeffs.modulus)
 
@@ -557,11 +555,11 @@ def classify(f: Cochain) -> Classification:
     if f.degree == 0:
         if f.is_zero():
             return Coboundary(None)
-        return NontrivialClass(cohomology(f.coeffs, 0).coordinates(f))
+        return NontrivialClass(cohomology(f.coeffs, 0)._coordinates(f))
     pre = solve_differential(f.coeffs, f.degree - 1, f)
     if pre is not None:
         return Coboundary(pre)
-    return NontrivialClass(cohomology(f.coeffs, f.degree).coordinates(f))
+    return NontrivialClass(cohomology(f.coeffs, f.degree)._coordinates(f))
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,9 +569,10 @@ class CohomologyGroup:
     ``basis`` and ``transform`` are in S-coordinates (``_generator_values``:
     a cochain's values at its tuples whose first entry lies in S, coordinate
     t times n / o_t), so both depend on S; in degree 0 they are the r
-    values, scaled.  The coordinates of a cocycle are the coefficients of
-    its S-values over ``basis``, the Howell rows of Z^i in S-coordinates,
-    by back-substitution, followed by the columns of the transform that
+    values, scaled.  ``basis`` is ``_cocycle_form``'s hZ in every degree.
+    The coordinates of a cocycle are the coefficients of its S-values over
+    ``basis``, the Howell rows of Z^i in S-coordinates, by
+    back-substitution, followed by the columns of the transform that
     diagonalizes the coboundary relations mod n, one per invariant factor,
     so they are zero exactly on coboundaries and the published generators
     map to the standard basis vectors.
@@ -593,59 +592,65 @@ class CohomologyGroup:
         """Coordinates of a cocycle in the ⊕ Z/d_j decomposition.
 
         The S-values of a cocycle lie in the span of ``basis``, but so may
-        those of a non-cocycle, so f is checked by its differential first.
+        those of a non-cocycle, so f is checked by its differential too.
         """
-        if f.coeffs != self.coeffs or f.degree != self.degree:
-            raise ValueError("cochain does not live in this cohomology group")
+        coords = self._coordinates(f)
         if not differential(f).is_zero():
             raise ValueError("not a cocycle")
+        return coords
+
+    def _coordinates(self, f: Cochain) -> tuple[int, ...]:
+        """``coordinates`` less the cocycle check, for a caller that made it."""
+        if f.coeffs != self.coeffs or f.degree != self.degree:
+            raise ValueError("cochain does not live in this cohomology group")
         c = _back_substitute(self.basis, _generator_values(f)[None, :], self.coeffs.modulus)[0]
         # each invariant factor divides n
         return tuple(int(x) % d for x, d in zip(c[0] @ self.transform, self.invariant_factors))
 
 
 def _cocycle_form(coeffs: GModuleAction, i: int) -> np.ndarray:
-    """hZ, the Howell form of Z^i in S-coordinates for i >= 1, without
-    building d^i.
+    """hZ, the Howell form of Z^i in S-coordinates, for every i >= 0.
 
-    A cocycle is fixed by its values y at first entries in S, and every y
-    extends to a cochain by ``_extend``, which is a cocycle exactly when its
-    residual M y vanishes.  Both y and M y are held scaled, coordinate t
-    times n / o_t as in ``_generator_values``, which is injective, so no row
-    o_t·e_t is needed for a coordinate whose order o_t is below n.  The
-    identity batch, one s at a time, gives M^T with U = |S|·|G|^(i-1)·r
-    rows, and one ``_howell_rows`` of [M^T | diag(scales)], stored in
-    ``_form_dtype``, does the rest: by the Howell property its rows with a
-    pivot in the diagonal block, restricted to that block, are the Howell
-    form of the row space's intersection with 0 + (Z/n)^U, which is 0 + the
-    scaled S-values of the cocycles.  A row space has one Howell form, so
-    hZ is the Howell form of the k of ``_factored_differential(coeffs, i)``
-    read at the S-coordinates and scaled.
+    In degree i >= 1 a cocycle is fixed by its values y at first entries in
+    S, and ``_extend`` of y is a cocycle exactly when its residual M y
+    vanishes.  The identity batch, one s at a time, gives M^T with U =
+    |S|·|G|^(i-1)·r rows, in ``_form_dtype``, whose left kernel, the y of
+    the cocycles, is the k of its ``_howell_rows``: no d^i is built.  In
+    degree 0 the kernel is the k of ``_factored_differential(coeffs, 0)``.
+    M y is held scaled, coordinate t times n / o_t as in ``_generator_values``,
+    but y is not: when some order o_t is below n the kernel holds the rows
+    o_t·e_t, and one more ``_howell_rows``, of the kernel times the scales,
+    drops them.  A row space has one Howell form, so hZ is the Howell form
+    of the k of ``_factored_differential(coeffs, i)`` read at the
+    S-coordinates and scaled.
     """
-    group, n, r = coeffs.group, coeffs.modulus, coeffs.module.rank
-    m, gens = group.order, _generating_set(group)
-    block = m ** (i - 1) * r  # the unknowns of one s
-    unknowns = len(gens) * block
-    left = np.count_nonzero(~_tree(group)[1]) * block  # the columns of M^T
-    w = np.zeros((unknowns, left + unknowns), dtype=_form_dtype(n))
-    # an order-1 coordinate has scale n, which is 0
-    w[np.arange(unknowns), left + np.arange(unknowns)] = _row_scales(coeffs, unknowns // r) % n
-    eye = np.eye(block, dtype=np.int32).reshape((m,) * (i - 1) + (r, block)).swapaxes(-1, -2)
-    y = np.zeros((len(gens),) + eye.shape, dtype=np.int32)
+    n, r = coeffs.modulus, coeffs.module.rank
     # the scales are 1 unless some order is below n; a value below n = 2^16
     # times a scale of at most n / 2 stays inside int32
     scales = _row_scales(coeffs, 1).astype(np.int32) if min(coeffs.module.orders) < n else None
-    for a in range(len(gens)):
-        y[a] = eye
-        res = _extend(coeffs, i, y)[1]
-        y[a] = 0
-        if scales is not None:
-            res = _floor_mod(res * scales, n)
-        # narrowed first, the transposing copy moves a quarter of the bytes
-        w[a * block : (a + 1) * block, :left] = np.moveaxis(res.astype(w.dtype), i, 0).reshape(block, -1)
-        del res
-    h = _howell_rows(w, n)[0]
-    return h[_leading(h) >= left, left:].astype(np.int64)
+    if i:
+        group, gens = coeffs.group, _generating_set(coeffs.group)
+        block = group.order ** (i - 1) * r  # the unknowns of one s
+        left = np.count_nonzero(~_tree(group)[1]) * block  # the columns of M^T
+        w = np.empty((len(gens) * block, left), dtype=_form_dtype(n))
+        eye = np.eye(block, dtype=np.int32).reshape((group.order,) * (i - 1) + (r, block)).swapaxes(-1, -2)
+        y = np.zeros((len(gens),) + eye.shape, dtype=np.int32)
+        for a in range(len(gens)):
+            y[a] = eye
+            res = _extend(coeffs, i, y)[1]
+            y[a] = 0
+            if scales is not None:
+                res = _floor_mod(res * scales, n)
+            # narrowed first, the transposing copy moves a quarter of the bytes
+            w[a * block : (a + 1) * block] = np.moveaxis(res.astype(w.dtype), i, 0).reshape(block, -1)
+            del res
+        k = _howell_rows(w, n)[2]
+    else:
+        k = _factored_differential(coeffs, 0).k
+    if scales is not None:
+        # an order-1 coordinate has scale n, which the sweep reduces to 0
+        k = _howell_rows(k * _row_scales(coeffs, k.shape[1] // r), n)[0].astype(np.int64)
+    return k
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -656,10 +661,10 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     whose first entry lies in S, coordinate t times n / o_t, U =
     |S|·|G|^(i-1)·r of them.  That map is injective on Z^i, so H^i is Z^i
     modulo B^i, both in S-coordinates, and neither carries a row o_t·e_t.
-    hZ, their Howell form for Z^i, comes from ``_cocycle_form``, which never
-    builds d^i; in degree 0, where no first entry exists, the coordinates are
-    the r values, and hZ is the Howell form of the k of
-    ``_factored_differential(coeffs, 0)`` times the scales.  H is presented
+    hZ, their Howell form for Z^i, comes from ``_cocycle_form`` in every
+    degree (in degree 0, where no first entry exists, the coordinates are
+    the r values); only B^i and the extension of the generators depend on
+    the degree.  H is presented
     on the z rows of hZ: (Z/n)^z maps onto Z^i by c -> c @ hZ, with kernel
     the left kernel of hZ, and the coboundaries, the columns of the
     generator rows of d^(i-1) with its rows scaled (built by ``_scaled_rows``,
@@ -682,17 +687,14 @@ def cohomology(coeffs: GModuleAction, degree: int) -> CohomologyGroup:
     group = coeffs.group
     r = coeffs.module.rank
 
+    basis = _cocycle_form(coeffs, degree)
     if degree:
-        basis = _cocycle_form(coeffs, degree)
         # the coboundaries' S-values: the columns of the generator rows of d^(i-1), rows scaled
         b_rows = _scaled_rows(coeffs, degree - 1, _generator_rows(group, degree)).T
         coords, rem = _back_substitute(basis, b_rows, n)
         if rem.any():
             raise ValueError("a coboundary is not in the span of the cocycles")
     else:
-        basis = _factored_differential(coeffs, 0).k
-        if min(coeffs.module.orders) < n:
-            basis = howell_form(basis * _row_scales(coeffs, 1), n)[0]
         coords = np.zeros((0, basis.shape[0]), dtype=np.int64)  # B^0 = 0
     diag, v, w = diagonalize_mod(np.vstack([coords, left_kernel(basis, n)]), n)
     kept = [j for j, d in enumerate(diag) if d > 1]

@@ -416,7 +416,7 @@ def torsor_difference(datum: GlobalDatum, x: tuple[Cochain, ...], y: tuple[Cocha
         if not differential(diff).is_zero():
             raise ValueError("torsor elements do not lie in the same fiber")
         h2 = cohomology(place.h2_generator.coeffs, 2)
-        out.append(h2.coordinates(diff))
+        out.append(h2._coordinates(diff))
     return tuple(out)
 
 

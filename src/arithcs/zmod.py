@@ -187,14 +187,6 @@ class ModuleOverZn:
             return _floor_mod(values, self.orders).astype(np.int64)
         return _elements(values, "module value") % np.asarray(self.orders, dtype=np.int64)
 
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.rank, dtype=np.int64)
-
-    def elements(self):
-        """All elements, lexicographically.  Only for brute-force checks."""
-        out = np.indices(self.orders).reshape(self.rank, -1).T
-        return [row.copy() for row in out]
-
     @classmethod
     def cyclic(cls, n: int) -> "ModuleOverZn":
         return cls(n, (n,))
